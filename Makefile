@@ -4,11 +4,11 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build vet lint lint-escapes test test-stream test-tail test-crash race fuzz-smoke bench bench-scan bench-slab bench-sparse bench-tail bench-wal bench-serve bench-smoke serve-smoke sparse-smoke check clean
+.PHONY: all build vet lint lint-escapes test test-stream test-tail test-crash race fuzz-smoke bench bench-scan bench-sparse bench-tail bench-wal bench-serve bench-smoke serve-smoke sparse-smoke check clean
 
-# Randomized kill points per (core, tier) cell of the crash-recovery
-# battery; 26 × 4 cells ≥ the 100-kill bar CI gates on.
-CRASH_TRIALS ?= 26
+# Randomized kill points per core cell of the crash-recovery battery;
+# 52 × 2 cells ≥ the 100-kill bar CI gates on.
+CRASH_TRIALS ?= 52
 
 all: build
 
@@ -49,7 +49,7 @@ test-tail:
 	$(GO) test -race -run 'TailWorkers|TestAssign|TestCluster|ClosestLeafPairDistanceWorkers|ClassifyBatch|NearestBatch' ./internal/kmeans ./internal/cftree ./internal/core ./internal/stream
 
 # Full crash-recovery battery (DESIGN.md §14): kill the durable engine
-# at CRASH_TRIALS randomized byte offsets per core×tier cell, reopen,
+# at CRASH_TRIALS randomized byte offsets per core cell, reopen,
 # and assert exact CF conservation against an uncrashed reference.
 test-crash:
 	BIRCH_CRASH_TRIALS=$(CRASH_TRIALS) $(GO) test -race -run 'TestCrashRecoveryBattery|TestCrashDuringCheckpoint' -count=1 ./internal/stream
@@ -63,7 +63,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzResumeSnapshot -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz FuzzInsertInvariants -fuzztime $(FUZZTIME) ./internal/cftree
 	$(GO) test -run '^$$' -fuzz FuzzScanBlockSync -fuzztime $(FUZZTIME) ./internal/cftree
-	$(GO) test -run '^$$' -fuzz FuzzScanF32Rescore -fuzztime $(FUZZTIME) ./internal/cf
 	$(GO) test -run '^$$' -fuzz FuzzSparseKernelParity -fuzztime $(FUZZTIME) ./internal/cf
 	$(GO) test -run '^$$' -fuzz FuzzStreamInsertClose -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/pager
@@ -79,12 +78,6 @@ bench:
 # loop on converged trees, written to BENCH_scan.json in the repo root.
 bench-scan:
 	$(GO) run ./cmd/birchbench -only scan -out .
-
-# Scan-slab precision-tier workloads only: TierF32 vs TierF64 descent on
-# converged trees under both CF-core backends, with rescore-depth and
-# fallback-rate probes, written to BENCH_slab32.json in the repo root.
-bench-slab:
-	$(GO) run ./cmd/birchbench -only slab -out .
 
 # Sparse fast-path workloads only: dense fused scan vs sparse gather
 # kernel on Zipfian documents across the d × density grid, the density

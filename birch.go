@@ -55,7 +55,6 @@ import (
 	"fmt"
 
 	"birch/internal/cf"
-	"birch/internal/cftree"
 	"birch/internal/core"
 	"birch/internal/stream"
 	"birch/internal/vec"
@@ -118,21 +117,6 @@ const (
 	ThresholdRadius = cf.ThresholdRadius
 )
 
-// ScanMode selects how Phase 1 scans a node's entries for the closest
-// one during descent. The two modes are bit-identical in every routing
-// decision; the choice is purely a performance/diagnostics knob.
-type ScanMode = cftree.ScanMode
-
-// Scan modes.
-const (
-	// ScanFused walks the node's contiguous scan block with a fused
-	// per-metric argmin kernel (default).
-	ScanFused = cftree.ScanFused
-	// ScanEntries is the per-entry distance-kernel loop, retained as the
-	// bit-identical reference.
-	ScanEntries = cftree.ScanEntries
-)
-
 // CoreKind selects the CF statistic backend (Config.Core).
 type CoreKind = cf.CoreKind
 
@@ -147,21 +131,6 @@ const (
 	// maintained Welford-style — which keeps cluster statistics accurate
 	// at any offset. Same memory, slightly more work per insert.
 	CoreBETULA = cf.CoreBETULA
-)
-
-// SlabTier selects the scan-slab precision for the fused descent and
-// serving scans (Config.SlabTier).
-type SlabTier = cf.SlabTier
-
-// Scan-slab precision tiers.
-const (
-	// TierF64 streams float64 slabs (default).
-	TierF64 = cf.TierF64
-	// TierF32 streams float32 mirror slabs — half the memory bandwidth
-	// per candidate — and rescores a provably sufficient candidate set
-	// from the retained float64 slabs, so every result stays bit-identical
-	// to TierF64. A bandwidth knob, never an accuracy knob.
-	TierF32 = cf.TierF32
 )
 
 // GlobalAlg selects the Phase 3 global clustering algorithm.

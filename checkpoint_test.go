@@ -13,12 +13,11 @@ import (
 
 // checkpointConfig forces rebuilds and outlier spills with a few hundred
 // points so checkpoints carry every kind of engine state.
-func checkpointConfig(kind CoreKind, tier SlabTier, metric Metric) Config {
+func checkpointConfig(kind CoreKind, metric Metric) Config {
 	cfg := DefaultConfig(2, 3)
 	cfg.Memory = 6 * 1024
 	cfg.Refine = false
 	cfg.Core = kind
-	cfg.SlabTier = tier
 	cfg.Metric = metric
 	return cfg
 }
@@ -64,89 +63,87 @@ func clusterersEqualBitwise(t *testing.T, label string, a, b *Clusterer) {
 	}
 }
 
-// TestCheckpointRoundTripEveryMetricCoreTier is the property battery:
-// for every distance metric × CF core × slab tier, a resumed Clusterer
+// TestCheckpointRoundTripEveryMetricCore is the property battery: for
+// every distance metric × CF core, a resumed Clusterer
 // is Float64bits-identical to the original — immediately, after more
 // streaming, and through Finish — and its v2 snapshots are byte-for-byte
 // the snapshots the original would have written.
-func TestCheckpointRoundTripEveryMetricCoreTier(t *testing.T) {
+func TestCheckpointRoundTripEveryMetricCore(t *testing.T) {
 	pts := blobPoints(29, 3, 700, 50, 2)
 	for _, kind := range []CoreKind{cf.CoreClassic, cf.CoreBETULA} {
-		for _, tier := range []SlabTier{cf.TierF64, cf.TierF32} {
-			for _, metric := range []Metric{cf.D0, cf.D1, cf.D2, cf.D3, cf.D4} {
-				kind, tier, metric := kind, tier, metric
-				t.Run(kind.String()+"/"+tier.String()+"/"+metric.String(), func(t *testing.T) {
-					t.Parallel()
-					cfg := checkpointConfig(kind, tier, metric)
-					c1, err := New(cfg)
-					if err != nil {
+		for _, metric := range []Metric{cf.D0, cf.D1, cf.D2, cf.D3, cf.D4, cf.DCos} {
+			kind, metric := kind, metric
+			t.Run(kind.String()+"/"+metric.String(), func(t *testing.T) {
+				t.Parallel()
+				cfg := checkpointConfig(kind, metric)
+				c1, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				half := len(pts) / 2
+				for _, p := range pts[:half] {
+					if err := c1.Insert(p); err != nil {
 						t.Fatal(err)
 					}
-					half := len(pts) / 2
-					for _, p := range pts[:half] {
-						if err := c1.Insert(p); err != nil {
-							t.Fatal(err)
+				}
+				if c1.eng.CounterStats().OutlierSpills == 0 {
+					t.Fatal("config not under pressure: no outlier spills at checkpoint time")
+				}
+
+				var img bytes.Buffer
+				if err := c1.WriteCheckpoint(&img); err != nil {
+					t.Fatalf("WriteCheckpoint: %v", err)
+				}
+				c2, err := ResumeCheckpoint(bytes.NewReader(img.Bytes()), cfg)
+				if err != nil {
+					t.Fatalf("ResumeCheckpoint: %v", err)
+				}
+				clusterersEqualBitwise(t, "after resume", c1, c2)
+
+				// Snapshot interop: the resumed engine writes the same v2
+				// snapshot bytes the original does.
+				var snap1, snap2 bytes.Buffer
+				if err := c1.WriteSnapshot(&snap1); err != nil {
+					t.Fatal(err)
+				}
+				if err := c2.WriteSnapshot(&snap2); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(snap1.Bytes(), snap2.Bytes()) {
+					t.Fatal("v2 snapshot bytes differ between original and resumed Clusterer")
+				}
+
+				// Continue both streams; every subsequent absorption,
+				// rebuild and spill must match.
+				for _, p := range pts[half:] {
+					if err := c1.Insert(p); err != nil {
+						t.Fatal(err)
+					}
+					if err := c2.Insert(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				clusterersEqualBitwise(t, "after continued stream", c1, c2)
+
+				r1, err := c1.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				r2, err := c2.Finish()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(r1.Centroids) != len(r2.Centroids) {
+					t.Fatalf("centroid counts differ: %d vs %d", len(r1.Centroids), len(r2.Centroids))
+				}
+				for i := range r1.Centroids {
+					for j := range r1.Centroids[i] {
+						if math.Float64bits(r1.Centroids[i][j]) != math.Float64bits(r2.Centroids[i][j]) {
+							t.Fatalf("centroid %d[%d] differs", i, j)
 						}
 					}
-					if c1.eng.CounterStats().OutlierSpills == 0 {
-						t.Fatal("config not under pressure: no outlier spills at checkpoint time")
-					}
-
-					var img bytes.Buffer
-					if err := c1.WriteCheckpoint(&img); err != nil {
-						t.Fatalf("WriteCheckpoint: %v", err)
-					}
-					c2, err := ResumeCheckpoint(bytes.NewReader(img.Bytes()), cfg)
-					if err != nil {
-						t.Fatalf("ResumeCheckpoint: %v", err)
-					}
-					clusterersEqualBitwise(t, "after resume", c1, c2)
-
-					// Snapshot interop: the resumed engine writes the same v2
-					// snapshot bytes the original does.
-					var snap1, snap2 bytes.Buffer
-					if err := c1.WriteSnapshot(&snap1); err != nil {
-						t.Fatal(err)
-					}
-					if err := c2.WriteSnapshot(&snap2); err != nil {
-						t.Fatal(err)
-					}
-					if !bytes.Equal(snap1.Bytes(), snap2.Bytes()) {
-						t.Fatal("v2 snapshot bytes differ between original and resumed Clusterer")
-					}
-
-					// Continue both streams; every subsequent absorption,
-					// rebuild and spill must match.
-					for _, p := range pts[half:] {
-						if err := c1.Insert(p); err != nil {
-							t.Fatal(err)
-						}
-						if err := c2.Insert(p); err != nil {
-							t.Fatal(err)
-						}
-					}
-					clusterersEqualBitwise(t, "after continued stream", c1, c2)
-
-					r1, err := c1.Finish()
-					if err != nil {
-						t.Fatal(err)
-					}
-					r2, err := c2.Finish()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(r1.Centroids) != len(r2.Centroids) {
-						t.Fatalf("centroid counts differ: %d vs %d", len(r1.Centroids), len(r2.Centroids))
-					}
-					for i := range r1.Centroids {
-						for j := range r1.Centroids[i] {
-							if math.Float64bits(r1.Centroids[i][j]) != math.Float64bits(r2.Centroids[i][j]) {
-								t.Fatalf("centroid %d[%d] differs", i, j)
-							}
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -154,7 +151,7 @@ func TestCheckpointRoundTripEveryMetricCoreTier(t *testing.T) {
 func TestCheckpointCrossCoreRejected(t *testing.T) {
 	pts := blobPoints(31, 3, 300, 50, 2)
 	for _, kind := range []CoreKind{cf.CoreClassic, cf.CoreBETULA} {
-		cfg := checkpointConfig(kind, cf.TierF64, cf.D2)
+		cfg := checkpointConfig(kind, cf.D2)
 		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -215,7 +212,7 @@ func (w *fsWriter) Write(p []byte) (int, error) {
 // image resumes — with the outlier-disk accounting (the state satellite
 // pager.WriteOutlier/ReadOutliers stats feed) intact after the reopen.
 func TestCheckpointOnFaultyDisk(t *testing.T) {
-	cfg := checkpointConfig(cf.CoreClassic, cf.TierF64, cf.D2)
+	cfg := checkpointConfig(cf.CoreClassic, cf.D2)
 	pts := blobPoints(37, 3, 700, 50, 2)
 	c1, err := New(cfg)
 	if err != nil {

@@ -98,32 +98,6 @@ type Workload struct {
 	EntryScanNsPerPoint float64 `json:"entry_scan_ns_per_point,omitempty"`
 	FusedVsEntryScan    float64 `json:"fused_vs_entry_scan,omitempty"`
 
-	// Parallel-tail (BENCH_tail.json) fields. Refine workloads: K is the
-	// centroid count; RefNsPerPoint is the pre-parallel reference
-	// assignment, the standard ns column is the production Assigner at one
-	// worker, ParNsPerPoint the Assigner at the configured worker count,
-	// and SpeedupVsRef = ref/par (> 1 means the production path is
-	// faster). Classify workloads: per-query ns under each Finder mode
-	// plus the batch path; the fused-vs-kd columns across K locate the
-	// kmeans.FusedKDThreshold crossover.
-	// Scan-slab precision-tier (BENCH_slab32.json) fields: Core names the
-	// CF statistic backend; the standard ns/allocs/bytes columns hold the
-	// TierF32 numbers, F64NsPerPoint the TierF64 reference on the
-	// identical workload, and F32VsF64 their ratio (< 1 means the f32 tier
-	// is faster — both tiers build bit-identical trees, so the ratio is
-	// pure bandwidth/bookkeeping). CandBytesF64/F32 are the analytic slab
-	// bytes streamed per scanned candidate under each tier; RescoreDepth
-	// is the mean number of candidates the f32 filter retained for exact
-	// f64 rescore, and FallbackRate the fraction of scans that overflowed
-	// the candidate buffer and re-ran the full f64 kernel.
-	Core          string  `json:"core,omitempty"`
-	F64NsPerPoint float64 `json:"f64_ns_per_point,omitempty"`
-	F32VsF64      float64 `json:"f32_vs_f64,omitempty"`
-	CandBytesF64  float64 `json:"cand_bytes_f64,omitempty"`
-	CandBytesF32  float64 `json:"cand_bytes_f32,omitempty"`
-	RescoreDepth  float64 `json:"rescore_depth,omitempty"`
-	FallbackRate  float64 `json:"fallback_rate,omitempty"`
-
 	// Durability (BENCH_wal.json) fields: DurableVsOff is the durable
 	// row's throughput over the wal_off baseline at the same writer count
 	// (< 1 means the WAL costs throughput), WALBytesPerPoint the log bytes
@@ -147,6 +121,14 @@ type Workload struct {
 	SparseVsDense    float64 `json:"sparse_vs_dense,omitempty"`
 	CrossoverDensity float64 `json:"crossover_density,omitempty"`
 
+	// Parallel-tail (BENCH_tail.json) fields. Refine workloads: K is the
+	// centroid count; RefNsPerPoint is the pre-parallel reference
+	// assignment, the standard ns column is the production Assigner at one
+	// worker, ParNsPerPoint the Assigner at the configured worker count,
+	// and SpeedupVsRef = ref/par (> 1 means the production path is
+	// faster). Classify workloads: per-query ns under each Finder mode
+	// plus the batch path; the fused-vs-kd columns across K locate the
+	// kmeans.FusedKDThreshold crossover.
 	K               int     `json:"k,omitempty"`
 	RefNsPerPoint   float64 `json:"ref_ns_per_point,omitempty"`
 	ParNsPerPoint   float64 `json:"par_ns_per_point,omitempty"`
@@ -185,12 +167,12 @@ func main() {
 	baseDir := flag.String("baseline", "", "directory holding a previous run's BENCH_*.json to compare against")
 	reps := flag.Int("reps", 3, "repetitions per workload (best-of)")
 	workers := flag.Int("workers", 8, "worker count for the parallel pipeline workload")
-	only := flag.String("only", "all", `run a subset: "all", "scan" (descent-scan workloads only), "slab" (precision-tier workloads only), "sparse" (sparse fast-path workloads only), "tail" (parallel-tail workloads only), "wal" (durability workloads only), "stream" (concurrent-ingest workloads only) or "serve" (network serving workloads only)`)
+	only := flag.String("only", "all", `run a subset: "all", "scan" (descent-scan workloads only), "sparse" (sparse fast-path workloads only), "tail" (parallel-tail workloads only), "wal" (durability workloads only), "stream" (concurrent-ingest workloads only) or "serve" (network serving workloads only)`)
 	flag.Parse()
 	switch *only {
-	case "all", "scan", "slab", "sparse", "tail", "wal", "stream", "serve":
+	case "all", "scan", "sparse", "tail", "wal", "stream", "serve":
 	default:
-		fatal(fmt.Errorf("unknown -only value %q (want all, scan, slab, sparse, tail, wal, stream or serve)", *only))
+		fatal(fmt.Errorf("unknown -only value %q (want all, scan, sparse, tail, wal, stream or serve)", *only))
 	}
 
 	meta := Meta{
@@ -204,18 +186,6 @@ func main() {
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
-	}
-
-	if *only == "slab" {
-		slab := runSlabWorkloads(*quick, *reps)
-		if err := writeReport(filepath.Join(*outDir, slabFile), meta, slab, *baseDir); err != nil {
-			fatal(err)
-		}
-		if err := verifySlab(*outDir, *quick); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("birchbench OK: %d slab workloads -> %s\n", len(slab), *outDir)
-		return
 	}
 
 	if *only == "sparse" {
@@ -290,11 +260,6 @@ func main() {
 		return
 	}
 
-	slab := runSlabWorkloads(*quick, *reps)
-	if err := writeReport(filepath.Join(*outDir, slabFile), meta, slab, *baseDir); err != nil {
-		fatal(err)
-	}
-
 	phase1 := runPhase1Workloads(*quick, *reps)
 	pipeline := runPipelineWorkloads(*quick, *reps, *workers)
 	streamed := runStreamWorkloads(*quick, *reps)
@@ -327,8 +292,8 @@ func main() {
 	if err := verify(*outDir, *quick); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("birchbench OK: %d phase1 + %d pipeline + %d stream + %d scan + %d slab + %d sparse + %d tail + %d wal + %d serve workloads -> %s\n",
-		len(phase1), len(pipeline), len(streamed), len(scan), len(slab), len(sparse), len(tail), len(wal), len(serve), *outDir)
+	fmt.Printf("birchbench OK: %d phase1 + %d pipeline + %d stream + %d scan + %d sparse + %d tail + %d wal + %d serve workloads -> %s\n",
+		len(phase1), len(pipeline), len(streamed), len(scan), len(sparse), len(tail), len(wal), len(serve), *outDir)
 }
 
 func fatal(err error) {
@@ -642,9 +607,6 @@ func verify(dir string, quick bool) error {
 		return err
 	}
 	if err := verifyServe(dir, quick); err != nil {
-		return err
-	}
-	if err := verifySlab(dir, quick); err != nil {
 		return err
 	}
 	if err := verifySparse(dir, quick); err != nil {

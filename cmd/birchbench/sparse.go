@@ -113,7 +113,7 @@ func buildSparseBlock(docs []vec.Sparse, entries int, kind cf.CoreKind) *cf.Bloc
 		c := cf.FromSparsePoint(docs[i], kind)
 		cfs[i%entries].Merge(&c)
 	}
-	b := cf.NewBlockOpts(dim, entries, kind, cf.TierF64)
+	b := cf.NewBlockOpts(dim, entries, kind)
 	for i := range cfs {
 		b.Append(&cfs[i])
 	}

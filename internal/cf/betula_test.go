@@ -390,9 +390,9 @@ func TestBetulaFromComponents(t *testing.T) {
 	}
 }
 
-// TestParseCoreKindAndTier covers the string round trips the CLI and
-// config layers use.
-func TestParseCoreKindAndTier(t *testing.T) {
+// TestParseCoreKind covers the string round trip the CLI and config
+// layers use.
+func TestParseCoreKind(t *testing.T) {
 	for _, k := range []CoreKind{CoreClassic, CoreBETULA} {
 		got, err := ParseCoreKind(k.String())
 		if err != nil || got != k {
@@ -401,14 +401,5 @@ func TestParseCoreKindAndTier(t *testing.T) {
 	}
 	if _, err := ParseCoreKind("nope"); err == nil {
 		t.Fatal("bad core kind accepted")
-	}
-	for _, tier := range []SlabTier{TierF64, TierF32} {
-		got, err := ParseSlabTier(tier.String())
-		if err != nil || got != tier {
-			t.Fatalf("ParseSlabTier(%q) = %v, %v", tier.String(), got, err)
-		}
-	}
-	if _, err := ParseSlabTier("f16"); err == nil {
-		t.Fatal("bad slab tier accepted")
 	}
 }

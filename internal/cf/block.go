@@ -7,45 +7,6 @@ import (
 	"birch/internal/vec"
 )
 
-// SlabTier selects the storage precision of a Block's scan slabs.
-type SlabTier uint8
-
-const (
-	// TierF64 stores only the float64 slabs (the default).
-	TierF64 SlabTier = iota
-	// TierF32 additionally maintains float32 mirrors of the scan slabs.
-	// The f32 scans (scan32.go) stream the mirrors — half the memory
-	// bandwidth per candidate — and rescore a small candidate set from
-	// the float64 slabs, so results stay bit-identical to TierF64.
-	TierF32
-)
-
-// String names the slab tier.
-func (t SlabTier) String() string {
-	switch t {
-	case TierF64:
-		return "f64"
-	case TierF32:
-		return "f32"
-	default:
-		return fmt.Sprintf("SlabTier(%d)", int(t))
-	}
-}
-
-// Valid reports whether t names a known tier.
-func (t SlabTier) Valid() bool { return t == TierF64 || t == TierF32 }
-
-// ParseSlabTier converts a string such as "f64" or "f32" to a SlabTier.
-func ParseSlabTier(s string) (SlabTier, error) {
-	switch s {
-	case "f64", "F64", "float64":
-		return TierF64, nil
-	case "f32", "F32", "float32":
-		return TierF32, nil
-	}
-	return 0, fmt.Errorf("cf: unknown slab tier %q (want f64 or f32)", s)
-}
-
 // Block is a CF-tree node's scan slab: contiguous arrays (plus an []int64
 // for N) holding every entry's candidate-side hoisted terms for the
 // closest-entry scan. Where the per-entry kernel path chases each Entry's
@@ -96,21 +57,6 @@ func ParseSlabTier(s string) (SlabTier, error) {
 // to recomputing from the entry's CF — the exactness contract CheckSync
 // enforces and the cftree fuzzer drives.
 //
-// Under TierF32 the block additionally maintains float32 mirrors of the
-// slabs it uses, each derived deterministically from the float64 slab
-// words (sync32), plus one rounded-up row-norm word per slot that the
-// f32 scans' error-slack bounds consume:
-//
-//	x032 slab, stride dim+1: float32 centroid row, norm upper bound
-//	ls32 slab, stride dim+3: float32 LS row, SS/N, SS, norm upper bound
-//	                         (classic only; the f64 slab's trailing
-//	                         float64(N) word is replaced by the norm)
-//	sb32 slab, stride 2:     float32 S/N, S (BETULA only)
-//
-// The float64 slabs are always retained: the f32 scans rescore their
-// candidate sets from them (and fall back to them wholesale on
-// ill-conditioned data), which is what makes the tier exact.
-//
 // A Block is maintained incrementally: owners refresh the one slot whose
 // entry changed (Set after a merge, Append for a new entry) and never
 // rebuild the slab wholesale on the hot path. Set writes in place and the
@@ -119,45 +65,36 @@ func ParseSlabTier(s string) (SlabTier, error) {
 type Block struct {
 	dim  int
 	kind CoreKind
-	tier SlabTier
 	n    []int64
 	x0   []float64 // dim+1 floats per entry: centroid, float64(N)
 	ls   []float64 // classic: dim+3 floats per entry: raw LS, SS/N, SS, float64(N)
 	sb   []float64 // betula: 2 floats per entry: S/N, S
 	cn   []float64 // 1 float per entry: centroid norm ‖x0‖ (DCos candidate term)
-
-	x032 []float32 // TierF32: dim+1 per entry: centroid row, norm UB
-	ls32 []float32 // TierF32 classic: dim+3 per entry: LS row, SS/N, SS, norm UB
-	sb32 []float32 // TierF32 betula: 2 per entry: S/N, S
 }
 
 // Slab strides per entry.
 func (b *Block) x0Stride() int { return b.dim + 1 }
 func (b *Block) lsStride() int { return b.dim + 3 }
 
-// NewBlock returns an empty classic/f64 Block for entries of dimension
-// dim, pre-sized so the first capEntries appends do not reallocate.
+// NewBlock returns an empty classic Block for entries of dimension dim,
+// pre-sized so the first capEntries appends do not reallocate.
 func NewBlock(dim, capEntries int) *Block {
-	return NewBlockOpts(dim, capEntries, CoreClassic, TierF64)
+	return NewBlockOpts(dim, capEntries, CoreClassic)
 }
 
 // NewBlockOpts returns an empty Block for entries of dimension dim under
-// the given CF-core backend and slab tier, pre-sized so the first
-// capEntries appends do not reallocate.
-func NewBlockOpts(dim, capEntries int, kind CoreKind, tier SlabTier) *Block {
+// the given CF-core backend, pre-sized so the first capEntries appends do
+// not reallocate.
+func NewBlockOpts(dim, capEntries int, kind CoreKind) *Block {
 	if dim <= 0 {
 		panic("cf: NewBlock with non-positive dimension")
 	}
 	if !kind.Valid() {
 		panic("cf: NewBlock with invalid core kind")
 	}
-	if !tier.Valid() {
-		panic("cf: NewBlock with invalid slab tier")
-	}
 	b := &Block{
 		dim:  dim,
 		kind: kind,
-		tier: tier,
 		n:    make([]int64, 0, capEntries),
 		x0:   make([]float64, 0, capEntries*(dim+1)),
 		cn:   make([]float64, 0, capEntries),
@@ -166,14 +103,6 @@ func NewBlockOpts(dim, capEntries int, kind CoreKind, tier SlabTier) *Block {
 		b.sb = make([]float64, 0, capEntries*2)
 	} else {
 		b.ls = make([]float64, 0, capEntries*(dim+3))
-	}
-	if tier == TierF32 {
-		b.x032 = make([]float32, 0, capEntries*(dim+1))
-		if kind == CoreBETULA {
-			b.sb32 = make([]float32, 0, capEntries*2)
-		} else {
-			b.ls32 = make([]float32, 0, capEntries*(dim+3))
-		}
 	}
 	return b
 }
@@ -186,9 +115,6 @@ func (b *Block) Dim() int { return b.dim }
 
 // Kind returns the CF-core backend the block's slots are derived under.
 func (b *Block) Kind() CoreKind { return b.kind }
-
-// Tier returns the block's slab precision tier.
-func (b *Block) Tier() SlabTier { return b.tier }
 
 // EntryN returns slot i's point count.
 func (b *Block) EntryN(i int) int64 { return b.n[i] }
@@ -232,9 +158,6 @@ func (b *Block) Set(i int, c *CF) {
 	}
 	b.n[i] = c.N
 	b.setNorm(i)
-	if b.tier == TierF32 {
-		b.sync32(i)
-	}
 }
 
 // Append adds a slot for c at the end of the block.
@@ -284,9 +207,6 @@ func (b *Block) SetPoint(i int, p vec.Vector) {
 	}
 	b.n[i] = 1
 	b.setNorm(i)
-	if b.tier == TierF32 {
-		b.sync32(i)
-	}
 }
 
 // AppendPoint adds a singleton-CF slot for p at the end of the block,
@@ -330,65 +250,6 @@ func (b *Block) appendSlot() {
 	} else {
 		b.ls = appendZeros(b.ls, b.dim+3)
 	}
-	if b.tier == TierF32 {
-		b.x032 = appendZeros32(b.x032, b.dim+1)
-		if b.kind == CoreBETULA {
-			b.sb32 = appendZeros32(b.sb32, 2)
-		} else {
-			b.ls32 = appendZeros32(b.ls32, b.dim+3)
-		}
-	}
-}
-
-// sync32 rebuilds slot i's float32 mirror words from the float64 slab
-// words — the mirrors are a pure deterministic function of the f64
-// slabs, never of the CF directly, so the two precisions cannot drift.
-//
-//birchlint:hotpath
-func (b *Block) sync32(i int) {
-	d := b.dim
-	xoff := i * (d + 1)
-	src := b.x0[xoff : xoff+d : xoff+d]
-	x32 := b.x032[xoff : xoff+d : xoff+d]
-	var s float64
-	for j, v := range src {
-		x32[j] = float32(v)
-		s += v * v
-	}
-	b.x032[xoff+d] = normUB32(s)
-	if b.kind == CoreBETULA {
-		b.sb32[2*i] = float32(b.sb[2*i])
-		b.sb32[2*i+1] = float32(b.sb[2*i+1])
-		return
-	}
-	loff := i * (d + 3)
-	lsrc := b.ls[loff : loff+d : loff+d]
-	l32 := b.ls32[loff : loff+d : loff+d]
-	var sl float64
-	for j, v := range lsrc {
-		l32[j] = float32(v)
-		sl += v * v
-	}
-	b.ls32[loff+d] = float32(b.ls[loff+d])
-	b.ls32[loff+d+1] = float32(b.ls[loff+d+1])
-	b.ls32[loff+d+2] = normUB32(sl)
-}
-
-// normUB32 converts a row's squared Euclidean norm (accumulated in
-// float64) to a float32 that is guaranteed ≥ the true row norm: the
-// relative inflation covers both the f64 accumulation round-off and the
-// downward f32 rounding, and the Nextafter32 loop makes the guarantee
-// unconditional. Deterministic — no data-dependent branching beyond the
-// bound itself.
-//
-//birchlint:hotpath
-func normUB32(s float64) float32 {
-	n := math.Sqrt(s)
-	u := float32(n * (1 + 4e-7))
-	for float64(u) < n {
-		u = math.Nextafter32(u, float32(math.Inf(1)))
-	}
-	return u
 }
 
 // appendZeros extends s by k zeroed elements. Within capacity (the
@@ -408,17 +269,6 @@ func appendZeros(s []float64, k int) []float64 {
 	return append(s, make([]float64, k)...)
 }
 
-//birchlint:coldpath
-func appendZeros32(s []float32, k int) []float32 {
-	n := len(s)
-	if cap(s)-n >= k {
-		s = s[:n+k]
-		clear(s[n:])
-		return s
-	}
-	return append(s, make([]float32, k)...)
-}
-
 // Remove deletes slot i, shifting later slots down — the counterpart of
 // deleting entry i from a node's entry slice.
 func (b *Block) Remove(i int) {
@@ -435,18 +285,6 @@ func (b *Block) Remove(i int) {
 		copy(b.ls[i*ls:], b.ls[(i+1)*ls:])
 		b.ls = b.ls[:len(b.ls)-ls]
 	}
-	if b.tier == TierF32 {
-		copy(b.x032[i*xs:], b.x032[(i+1)*xs:])
-		b.x032 = b.x032[:len(b.x032)-xs]
-		if b.kind == CoreBETULA {
-			copy(b.sb32[i*2:], b.sb32[(i+1)*2:])
-			b.sb32 = b.sb32[:len(b.sb32)-2]
-		} else {
-			ls := b.lsStride()
-			copy(b.ls32[i*ls:], b.ls32[(i+1)*ls:])
-			b.ls32 = b.ls32[:len(b.ls32)-ls]
-		}
-	}
 	b.n = append(b.n[:i], b.n[i+1:]...)
 }
 
@@ -461,14 +299,6 @@ func (b *Block) Truncate(k int) {
 		b.sb = b.sb[:k*2]
 	} else {
 		b.ls = b.ls[:k*b.lsStride()]
-	}
-	if b.tier == TierF32 {
-		b.x032 = b.x032[:k*b.x0Stride()]
-		if b.kind == CoreBETULA {
-			b.sb32 = b.sb32[:k*2]
-		} else {
-			b.ls32 = b.ls32[:k*b.lsStride()]
-		}
 	}
 }
 
@@ -503,8 +333,8 @@ func (b *Block) AppendCFs(dst []CF) []CF {
 
 // CheckSync verifies that slot i is bit-identical to recomputation from c
 // — the maintenance invariant every block-mutating code path must
-// preserve. Comparisons use Float64bits (Float32bits for the mirror
-// slabs) so even sign-of-zero drift is caught.
+// preserve. Comparisons use Float64bits so even sign-of-zero drift is
+// caught.
 func (b *Block) CheckSync(i int, c *CF) error {
 	if i < 0 || i >= len(b.n) {
 		return fmt.Errorf("cf: block slot %d out of range (len %d)", i, len(b.n))
@@ -569,53 +399,6 @@ func (b *Block) CheckSync(i int, c *CF) error {
 	}
 	if math.Float64bits(b.cn[i]) != math.Float64bits(math.Sqrt(cnsq)) {
 		return fmt.Errorf("cf: block slot %d centroid norm=%g, want %g", i, b.cn[i], math.Sqrt(cnsq))
-	}
-	if b.tier == TierF32 {
-		return b.checkSync32(i)
-	}
-	return nil
-}
-
-// checkSync32 verifies slot i's float32 mirror words against the exact
-// sync32 derivation from the float64 slabs.
-func (b *Block) checkSync32(i int) error {
-	d := b.dim
-	xoff := i * b.x0Stride()
-	var s float64
-	for j := 0; j < d; j++ {
-		v := b.x0[xoff+j]
-		if math.Float32bits(b.x032[xoff+j]) != math.Float32bits(float32(v)) {
-			return fmt.Errorf("cf: block slot %d x032[%d]=%g, want %g", i, j, b.x032[xoff+j], float32(v))
-		}
-		s += v * v
-	}
-	if math.Float32bits(b.x032[xoff+d]) != math.Float32bits(normUB32(s)) {
-		return fmt.Errorf("cf: block slot %d x032 norm=%g, want %g", i, b.x032[xoff+d], normUB32(s))
-	}
-	if b.kind == CoreBETULA {
-		for k := 0; k < 2; k++ {
-			if math.Float32bits(b.sb32[2*i+k]) != math.Float32bits(float32(b.sb[2*i+k])) {
-				return fmt.Errorf("cf: block slot %d sb32[%d]=%g, want %g", i, k, b.sb32[2*i+k], float32(b.sb[2*i+k]))
-			}
-		}
-		return nil
-	}
-	loff := i * b.lsStride()
-	var sl float64
-	for j := 0; j < d; j++ {
-		v := b.ls[loff+j]
-		if math.Float32bits(b.ls32[loff+j]) != math.Float32bits(float32(v)) {
-			return fmt.Errorf("cf: block slot %d ls32[%d]=%g, want %g", i, j, b.ls32[loff+j], float32(v))
-		}
-		sl += v * v
-	}
-	for k := 0; k < 2; k++ {
-		if math.Float32bits(b.ls32[loff+d+k]) != math.Float32bits(float32(b.ls[loff+d+k])) {
-			return fmt.Errorf("cf: block slot %d ls32 tail[%d]=%g, want %g", i, k, b.ls32[loff+d+k], float32(b.ls[loff+d+k]))
-		}
-	}
-	if math.Float32bits(b.ls32[loff+d+2]) != math.Float32bits(normUB32(sl)) {
-		return fmt.Errorf("cf: block slot %d ls32 norm=%g, want %g", i, b.ls32[loff+d+2], normUB32(sl))
 	}
 	return nil
 }

@@ -236,9 +236,8 @@ func varianceIncrease(a, b *CF) float64 {
 // The BETULA distance bodies. Each is the mean/deviation form of the
 // classic formula above — algebraically equal, but every term is
 // non-negative, so the clamps the classic forms need are structurally
-// impossible to hit. The f32 rescore slack analysis (scan32.go) and the
-// fused kernels (kernel.go, scan.go) mirror these bodies operation for
-// operation; keep them in sync.
+// impossible to hit. The fused kernels (kernel.go, scan.go) mirror these
+// bodies operation for operation; keep them in sync.
 
 // averageInterSqBetula computes D2² = Sa/Na + Sb/Nb + ‖μa − μb‖².
 func averageInterSqBetula(a, b *CF) float64 {

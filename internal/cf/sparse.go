@@ -201,10 +201,9 @@ func FromSparsePoint(sp vec.Sparse, kind CoreKind) CF {
 // sp — the sparse counterpart of Block.SetPoint, storing exactly the
 // words SetPoint(i, densify(sp)) would store: the slab rows are memset
 // then scattered (identical bits), the SS tail words are sp.SqNorm()
-// (bit-equal to the dense SqNorm), and the derived cn and f32-mirror
-// words are computed from the written rows by the shared setNorm/sync32
-// helpers. O(d) memset plus O(nnz) floating-point work, zero
-// allocations.
+// (bit-equal to the dense SqNorm), and the derived cn word is computed
+// from the written row by the shared setNorm helper. O(d) memset plus
+// O(nnz) floating-point work, zero allocations.
 //
 //birchlint:hotpath
 func (b *Block) SetPointSparse(i int, sp vec.Sparse) {
@@ -237,9 +236,6 @@ func (b *Block) SetPointSparse(i int, sp vec.Sparse) {
 	}
 	b.n[i] = 1
 	b.setNorm(i)
-	if b.tier == TierF32 {
-		b.sync32(i)
-	}
 }
 
 // AppendPointSparse adds a singleton-CF slot for sp at the end of the

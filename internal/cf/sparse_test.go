@@ -63,10 +63,10 @@ func sparseCands(r *rand.Rand, dim, k int, kind CoreKind) []CF {
 	return cands
 }
 
-// blockOfCore builds a slot-synced TierF64 block over candidates of the
-// given core (blockOf assumes the classic backend).
+// blockOfCore builds a slot-synced block over candidates of the given
+// core (blockOf assumes the classic backend).
 func blockOfCore(cands []CF, kind CoreKind) *Block {
-	b := NewBlockOpts(cands[0].Dim(), len(cands), kind, TierF64)
+	b := NewBlockOpts(cands[0].Dim(), len(cands), kind)
 	for i := range cands {
 		b.Append(&cands[i])
 	}
@@ -300,39 +300,37 @@ func TestSetPointSparseMatchesSetPoint(t *testing.T) {
 
 // TestBlockSetPointSparseBitIdentical: the block's sparse slot writers
 // produce word-identical slabs to their dense counterparts, across both
-// cores and both precision tiers, and stay slot-synced per CheckSync.
+// cores, and stay slot-synced per CheckSync.
 func TestBlockSetPointSparseBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(76))
 	for _, kind := range []CoreKind{CoreClassic, CoreBETULA} {
-		for _, tier := range []SlabTier{TierF64, TierF32} {
-			for _, dim := range []int{1, 5, 33} {
-				const k = 6
-				bd := NewBlockOpts(dim, k, kind, tier)
-				bs := NewBlockOpts(dim, k, kind, tier)
-				sps := make([]vec.Sparse, k)
-				for i := 0; i < k; i++ {
-					sps[i] = randSparse(r, dim, 1+r.Intn(dim), 20)
-					bd.AppendPoint(sps[i].Dense())
-					bs.AppendPointSparse(sps[i])
+		for _, dim := range []int{1, 5, 33} {
+			const k = 6
+			bd := NewBlockOpts(dim, k, kind)
+			bs := NewBlockOpts(dim, k, kind)
+			sps := make([]vec.Sparse, k)
+			for i := 0; i < k; i++ {
+				sps[i] = randSparse(r, dim, 1+r.Intn(dim), 20)
+				bd.AppendPoint(sps[i].Dense())
+				bs.AppendPointSparse(sps[i])
+			}
+			// Overwrite a couple of slots through the Set form too.
+			for _, i := range []int{0, k - 1} {
+				sps[i] = randSparse(r, dim, 1+r.Intn(dim), 20)
+				bd.SetPoint(i, sps[i].Dense())
+				bs.SetPointSparse(i, sps[i])
+			}
+			compareSlabs(t, bd, bs)
+			for i := 0; i < k; i++ {
+				c := FromSparsePoint(sps[i], kind)
+				if err := bs.CheckSync(i, &c); err != nil {
+					t.Fatalf("(%v) dim=%d slot %d out of sync: %v", kind, dim, i, err)
 				}
-				// Overwrite a couple of slots through the Set form too.
-				for _, i := range []int{0, k - 1} {
-					sps[i] = randSparse(r, dim, 1+r.Intn(dim), 20)
-					bd.SetPoint(i, sps[i].Dense())
-					bs.SetPointSparse(i, sps[i])
-				}
-				compareSlabs(t, bd, bs)
-				for i := 0; i < k; i++ {
-					c := FromSparsePoint(sps[i], kind)
-					if err := bs.CheckSync(i, &c); err != nil {
-						t.Fatalf("(%v, %v) dim=%d slot %d out of sync: %v", kind, tier, dim, i, err)
-					}
-				}
+			}
 
-				// Warm-slot rewrites are allocation-free.
-				if allocs := testing.AllocsPerRun(100, func() { bs.SetPointSparse(0, sps[0]) }); allocs > 0 {
-					t.Fatalf("(%v, %v) dim=%d: SetPointSparse allocates %.1f/op", kind, tier, dim, allocs)
-				}
+			// Warm-slot rewrites are allocation-free.
+			if allocs := testing.AllocsPerRun(100, func() { bs.SetPointSparse(0, sps[0]) }); allocs > 0 {
+				t.Fatalf("(%v) dim=%d: SetPointSparse allocates %.1f/op", kind, dim, allocs)
 			}
 		}
 	}
@@ -341,7 +339,7 @@ func TestBlockSetPointSparseBitIdentical(t *testing.T) {
 // compareSlabs asserts every slab word of two blocks is bit-identical.
 func compareSlabs(t *testing.T, a, b *Block) {
 	t.Helper()
-	if a.Len() != b.Len() || a.dim != b.dim || a.kind != b.kind || a.tier != b.tier {
+	if a.Len() != b.Len() || a.dim != b.dim || a.kind != b.kind {
 		t.Fatal("block shapes differ")
 	}
 	for i := range a.n {
@@ -349,11 +347,11 @@ func compareSlabs(t *testing.T, a, b *Block) {
 			t.Fatalf("n[%d] differs", i)
 		}
 	}
-	f64Slabs := []struct {
+	slabs := []struct {
 		name string
 		x, y []float64
 	}{{"x0", a.x0, b.x0}, {"ls", a.ls, b.ls}, {"sb", a.sb, b.sb}, {"cn", a.cn, b.cn}}
-	for _, s := range f64Slabs {
+	for _, s := range slabs {
 		if len(s.x) != len(s.y) {
 			t.Fatalf("%s slab lengths differ", s.name)
 		}
@@ -361,20 +359,6 @@ func compareSlabs(t *testing.T, a, b *Block) {
 			if math.Float64bits(s.x[j]) != math.Float64bits(s.y[j]) {
 				t.Fatalf("%s[%d] differs: %x vs %x", s.name, j,
 					math.Float64bits(s.x[j]), math.Float64bits(s.y[j]))
-			}
-		}
-	}
-	f32Slabs := []struct {
-		name string
-		x, y []float32
-	}{{"x032", a.x032, b.x032}, {"ls32", a.ls32, b.ls32}, {"sb32", a.sb32, b.sb32}}
-	for _, s := range f32Slabs {
-		if len(s.x) != len(s.y) {
-			t.Fatalf("%s slab lengths differ", s.name)
-		}
-		for j := range s.x {
-			if math.Float32bits(s.x[j]) != math.Float32bits(s.y[j]) {
-				t.Fatalf("%s[%d] differs", s.name, j)
 			}
 		}
 	}

@@ -203,7 +203,7 @@ func (t *Tree) WriteCheckpoint(w io.Writer) error {
 // charging its pages to pgr. params must carry the same identity
 // (Dim, Core, Metric, ThresholdKind) the checkpoint was written under;
 // params.Threshold is ignored in favour of the checkpointed value. The
-// perf-only knobs (Scan, SlabTier, capacities) are taken from params.
+// perf-only knobs (Scan, capacities) are taken from params.
 func ReadCheckpoint(r io.Reader, params Params, pgr *pager.Pager) (*Tree, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err

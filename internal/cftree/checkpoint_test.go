@@ -104,54 +104,53 @@ func buildTree(t *testing.T, params Params, seed int64, n int) *Tree {
 
 func TestCheckpointRoundTripBitIdentical(t *testing.T) {
 	for _, core := range []cf.CoreKind{cf.CoreClassic, cf.CoreBETULA} {
-		for _, tier := range []cf.SlabTier{cf.TierF64, cf.TierF32} {
-			for _, metric := range []cf.Metric{cf.D0, cf.D2, cf.D4} {
-				params := defaultParams()
-				params.Core = core
-				params.SlabTier = tier
-				params.Metric = metric
-				params.Threshold = 1.5
-				name := core.String() + "/" + tier.String() + "/" + metric.String()
-				t.Run(name, func(t *testing.T) {
-					tr := buildTree(t, params, 42, 400)
-					if tr.Height() < 2 {
-						t.Fatalf("test tree too small (height %d)", tr.Height())
-					}
-					got := roundTrip(t, tr, params)
-					equalTreesBitwise(t, "after load", tr, got)
-					if err := got.CheckInvariants(); err != nil {
-						t.Fatalf("restored tree invariants: %v", err)
-					}
+		for _, metric := range []cf.Metric{cf.D0, cf.D2, cf.D4} {
+			params := defaultParams()
+			params.Core = core
+			params.Metric = metric
+			params.Threshold = 1.5
+			// Names keep the core/precision/metric shape; float64 slabs
+			// are the only precision.
+			name := core.String() + "/f64/" + metric.String()
+			t.Run(name, func(t *testing.T) {
+				tr := buildTree(t, params, 42, 400)
+				if tr.Height() < 2 {
+					t.Fatalf("test tree too small (height %d)", tr.Height())
+				}
+				got := roundTrip(t, tr, params)
+				equalTreesBitwise(t, "after load", tr, got)
+				if err := got.CheckInvariants(); err != nil {
+					t.Fatalf("restored tree invariants: %v", err)
+				}
 
-					// Continuation: both trees must evolve bit-identically.
-					backend := cf.CoreFor(core)
-					r := rand.New(rand.NewSource(7))
-					for i := 0; i < 120; i++ {
-						p := vec.New(params.Dim)
-						for j := range p {
-							p[j] = r.Float64() * 40
-						}
-						tr.Insert(backend.FromPoint(p))
-						got.Insert(backend.FromPoint(p.Clone()))
+				// Continuation: both trees must evolve bit-identically.
+				backend := cf.CoreFor(core)
+				r := rand.New(rand.NewSource(7))
+				for i := 0; i < 120; i++ {
+					p := vec.New(params.Dim)
+					for j := range p {
+						p[j] = r.Float64() * 40
 					}
-					equalTreesBitwise(t, "after continued inserts", tr, got)
+					tr.Insert(backend.FromPoint(p))
+					got.Insert(backend.FromPoint(p.Clone()))
+				}
+				equalTreesBitwise(t, "after continued inserts", tr, got)
 
-					// Rebuild consumes chain order; a preserved permutation
-					// means the rebuilt trees match bit-for-bit too.
-					tr2, out1, err := tr.Rebuild(tr.Threshold()*2, nil)
-					if err != nil {
-						t.Fatalf("Rebuild original: %v", err)
-					}
-					got2, out2, err := got.Rebuild(got.Threshold()*2, nil)
-					if err != nil {
-						t.Fatalf("Rebuild restored: %v", err)
-					}
-					if len(out1) != len(out2) {
-						t.Fatalf("rebuild outliers differ: %d vs %d", len(out1), len(out2))
-					}
-					equalTreesBitwise(t, "after rebuild", tr2, got2)
-				})
-			}
+				// Rebuild consumes chain order; a preserved permutation
+				// means the rebuilt trees match bit-for-bit too.
+				tr2, out1, err := tr.Rebuild(tr.Threshold()*2, nil)
+				if err != nil {
+					t.Fatalf("Rebuild original: %v", err)
+				}
+				got2, out2, err := got.Rebuild(got.Threshold()*2, nil)
+				if err != nil {
+					t.Fatalf("Rebuild restored: %v", err)
+				}
+				if len(out1) != len(out2) {
+					t.Fatalf("rebuild outliers differ: %d vs %d", len(out1), len(out2))
+				}
+				equalTreesBitwise(t, "after rebuild", tr2, got2)
+			})
 		}
 	}
 }
@@ -209,8 +208,8 @@ func TestCheckpointEmptyTree(t *testing.T) {
 }
 
 func TestCheckpointPerfKnobsMayDiffer(t *testing.T) {
-	// Scan mode and slab tier are bit-identical by construction, so a
-	// checkpoint written under one may be loaded under another.
+	// Scan modes are bit-identical by construction, so a checkpoint
+	// written under one may be loaded under another.
 	params := defaultParams()
 	tr := buildTree(t, params, 5, 300)
 	var buf bytes.Buffer
@@ -219,7 +218,6 @@ func TestCheckpointPerfKnobsMayDiffer(t *testing.T) {
 	}
 	alt := params
 	alt.Scan = ScanEntries
-	alt.SlabTier = cf.TierF32
 	got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()), alt, bigPager())
 	if err != nil {
 		t.Fatalf("ReadCheckpoint with different perf knobs: %v", err)

@@ -38,11 +38,6 @@ type Params struct {
 	// triple (default) or the numerically stable BETULA mean/deviation
 	// form. Every entry inserted must carry this kind.
 	Core cf.CoreKind
-	// SlabTier selects the scan-slab precision: TierF64 (default) or
-	// TierF32, which streams float32 slab mirrors on the fused descent
-	// scans and rescores candidates in float64 — bit-identical results
-	// at half the scan bandwidth. Only meaningful with ScanFused.
-	SlabTier cf.SlabTier
 }
 
 // ScanMode selects how the closest-entry scan is executed.
@@ -93,9 +88,6 @@ func (p Params) Validate() error {
 	}
 	if !p.Core.Valid() {
 		return fmt.Errorf("cftree: invalid core kind %v", p.Core)
-	}
-	if !p.SlabTier.Valid() {
-		return fmt.Errorf("cftree: invalid slab tier %v", p.SlabTier)
 	}
 	return nil
 }
@@ -153,11 +145,7 @@ func (t *Tree) initKernels() {
 	t.query = cf.NewQuery(p.Dim)
 	t.spCF = cf.NewCore(p.Dim, p.Core)
 	if p.Scan == ScanFused {
-		if p.SlabTier == cf.TierF32 {
-			t.scan = cf.ScanKernel32For(p.Metric, p.Core)
-		} else {
-			t.scan = cf.ScanKernelForCore(p.Metric, p.Core)
-		}
+		t.scan = cf.ScanKernelForCore(p.Metric, p.Core)
 		if s, ok := cf.SparseScanKernelForCore(p.Metric, p.Core); ok {
 			t.sscan = s
 		}

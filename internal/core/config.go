@@ -20,7 +20,6 @@ import (
 	"runtime"
 
 	"birch/internal/cf"
-	"birch/internal/cftree"
 )
 
 // GlobalAlg selects the Phase 3 algorithm.
@@ -77,22 +76,11 @@ type Config struct {
 	// MergingRefinement toggles the Section 4.3 split amelioration
 	// (default on).
 	MergingRefinement bool
-	// Scan selects the Phase 1 closest-entry scan implementation. The
-	// zero value (cftree.ScanFused) walks each node's contiguous scan
-	// block with the fused argmin kernel; cftree.ScanEntries keeps the
-	// per-entry kernel loop as the bit-identical reference path, useful
-	// for differential testing and as a benchmark baseline.
-	Scan cftree.ScanMode
 	// Core selects the CF statistic backend for the whole pipeline: the
 	// paper's (N, LS, SS) triple (default) or the numerically stable
 	// BETULA mean/deviation form, which survives large-offset data where
 	// the triple cancels catastrophically.
 	Core cf.CoreKind
-	// SlabTier selects the scan-slab precision for the fused descent
-	// scans: TierF64 (default) or TierF32, which streams float32 slab
-	// mirrors and rescores the surviving candidates in float64 — results
-	// stay bit-identical at roughly half the scan bandwidth.
-	SlabTier cf.SlabTier
 	// OutlierHandling toggles the Section 5.1.4 outlier disk (default on).
 	OutlierHandling bool
 	// OutlierFraction defines a potential outlier as a leaf entry with
@@ -213,9 +201,6 @@ func (c Config) Validate() error {
 	}
 	if !c.Core.Valid() {
 		return fmt.Errorf("core: invalid Core %v", c.Core)
-	}
-	if !c.SlabTier.Valid() {
-		return fmt.Errorf("core: invalid SlabTier %v", c.SlabTier)
 	}
 	if c.OutlierHandling && (c.OutlierFraction <= 0 || c.OutlierFraction >= 1) {
 		return fmt.Errorf("core: OutlierFraction %g outside (0, 1)", c.OutlierFraction)

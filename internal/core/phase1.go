@@ -68,9 +68,7 @@ func treeParams(cfg Config) cftree.Params {
 		ThresholdKind:     cfg.ThresholdKind,
 		Metric:            cfg.Metric,
 		MergingRefinement: cfg.MergingRefinement,
-		Scan:              cfg.Scan,
 		Core:              cfg.Core,
-		SlabTier:          cfg.SlabTier,
 	}
 }
 

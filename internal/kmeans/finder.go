@@ -30,11 +30,6 @@ const (
 	// FinderKD searches an exact k-d tree: O(log K)-ish per query in low
 	// dimension, same distances, tie indexes may differ.
 	FinderKD
-	// FinderFused32 walks a TierF32 centroid slab with the mixed-precision
-	// flat scan (cf.ScanNearestX032): float32 candidate stream at half the
-	// bandwidth, float64 rescore of the survivors — bit-identical to
-	// FinderFused and FinderBrute including ties.
-	FinderFused32
 )
 
 // FusedKDThreshold is the centroid count at which FinderAuto switches
@@ -98,14 +93,10 @@ func (f *Finder) Reset(centroids []vec.Vector, mode FinderMode) {
 	f.centroids = centroids
 	f.kd = nil
 	switch mode {
-	case FinderFused, FinderFused32:
-		tier := cf.TierF64
-		if mode == FinderFused32 {
-			tier = cf.TierF32
-		}
+	case FinderFused:
 		dim := centroids[0].Dim()
-		if f.block == nil || f.block.Dim() != dim || f.block.Tier() != tier {
-			f.block = cf.NewBlockOpts(dim, len(centroids), cf.CoreClassic, tier)
+		if f.block == nil || f.block.Dim() != dim {
+			f.block = cf.NewBlock(dim, len(centroids))
 		} else {
 			f.block.Truncate(0)
 		}
@@ -131,8 +122,6 @@ func (f *Finder) Nearest(p vec.Vector) (int, float64) {
 	switch f.mode {
 	case FinderFused:
 		return cf.ScanNearestX0(p, f.block)
-	case FinderFused32:
-		return cf.ScanNearestX032(p, f.block)
 	case FinderKD:
 		return f.kd.Nearest(p)
 	default:

@@ -145,7 +145,6 @@ func TestHotPathAnnotationCoverage(t *testing.T) {
 	//   core/alloc_test.go    TestEngineAddAbsorbAllocs
 	//   kmeans/parallel_test.go TestAssignSteadyStateAllocs
 	//   cf/flatscan_test.go   TestBlockSetPointZeroAlloc
-	//   cf/scan32_test.go     TestScan32Allocs
 	//   stream/snapshot_test.go TestSnapshotClassifyAllocs
 	//   server/alloc_test.go  TestWireEncodeAllocs, TestWireDecodeAllocs
 	//   cftree/sparse_test.go TestInsertSparseAbsorbAllocs
@@ -162,15 +161,6 @@ func TestHotPathAnnotationCoverage(t *testing.T) {
 		"birch/internal/cf.Block.AppendPoint",
 		"birch/internal/stream.Engine.Classify",
 		"birch/internal/stream.Snapshot.Classify",
-		"birch/internal/cf.ScanNearestX032",
-		"birch/internal/cf.scan32D0",
-		"birch/internal/cf.scan32D1",
-		"birch/internal/cf.scan32D2",
-		"birch/internal/cf.scan32D3",
-		"birch/internal/cf.scan32D4",
-		"birch/internal/cf.scan32D2b",
-		"birch/internal/cf.scan32D3b",
-		"birch/internal/cf.candBuf.push",
 		"birch/internal/server.AppendPointsFrame",
 		"birch/internal/server.AppendClassifyResultFrame",
 		"birch/internal/server.DecodeFrame",

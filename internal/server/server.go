@@ -74,6 +74,13 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// readHeaderTimeout bounds how long a connection may take to deliver a
+// request header. Without it a client that never finishes its header
+// holds a connection and a goroutine forever. ReadTimeout stays unset:
+// with IdleTimeout unset it would also close idle keep-alive
+// connections.
+const readHeaderTimeout = 10 * time.Second
+
 // Server fronts a Backend with the HTTP API and the micro-batching
 // admission layer. Create with New, serve with Serve, stop with
 // Shutdown — which drains so that every 200-acked insert is in the
@@ -123,7 +130,7 @@ func New(b Backend, opts Options) *Server {
 	s.mux.HandleFunc("GET /summary", s.handleSummary)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.http = &http.Server{Handler: s.mux}
+	s.http = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
 	s.collectWG.Add(2)
 	go s.runInsertCollector()
 	go s.runClassifyCollector()
@@ -387,18 +394,18 @@ func (s *Server) handleSummary(w http.ResponseWriter, r *http.Request) {
 
 // ServerGauges is the admission-layer half of GET /stats.
 type ServerGauges struct {
-	AcceptedPoints     int64   `json:"accepted_points"`
-	Rejected429        int64   `json:"rejected_429"`
-	InsertFlushes      int64   `json:"insert_flushes"`
-	AvgInsertBatch     float64 `json:"avg_insert_batch"`
-	ClassifyFlushes    int64   `json:"classify_flushes"`
-	AvgClassifyBatch   float64 `json:"avg_classify_batch"`
-	Draining           bool    `json:"draining"`
-	QueueDepth         int     `json:"queue_depth"`
-	InsertQueueLen     int     `json:"insert_queue_len"`
-	ClassifyQueueLen   int     `json:"classify_queue_len"`
-	MaxBatch           int     `json:"max_batch"`
-	BatchWaitMicros    int64   `json:"batch_wait_us"`
+	AcceptedPoints   int64   `json:"accepted_points"`
+	Rejected429      int64   `json:"rejected_429"`
+	InsertFlushes    int64   `json:"insert_flushes"`
+	AvgInsertBatch   float64 `json:"avg_insert_batch"`
+	ClassifyFlushes  int64   `json:"classify_flushes"`
+	AvgClassifyBatch float64 `json:"avg_classify_batch"`
+	Draining         bool    `json:"draining"`
+	QueueDepth       int     `json:"queue_depth"`
+	InsertQueueLen   int     `json:"insert_queue_len"`
+	ClassifyQueueLen int     `json:"classify_queue_len"`
+	MaxBatch         int     `json:"max_batch"`
+	BatchWaitMicros  int64   `json:"batch_wait_us"`
 }
 
 // StatsPayload is the JSON shape of GET /stats: the engine gauges

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"io"
 	"net"
 	"net/http"
 	"strings"
@@ -21,7 +22,14 @@ import (
 // and returns a client plus a shutdown func. Shutdown errors fail t.
 func startServer(t *testing.T, b Backend, opts Options) (*Client, func()) {
 	t.Helper()
-	s := New(b, opts)
+	addr, shutdown := serve(t, New(b, opts))
+	return NewClient("http://" + addr), shutdown
+}
+
+// serve serves s on a loopback listener and returns its address plus a
+// shutdown func. Shutdown errors fail t.
+func serve(t *testing.T, s *Server) (string, func()) {
+	t.Helper()
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +49,7 @@ func startServer(t *testing.T, b Backend, opts Options) (*Client, func()) {
 			}
 		})
 	}
-	return NewClient("http://" + l.Addr().String()), shutdown
+	return l.Addr().String(), shutdown
 }
 
 func testEngineBackend(t *testing.T, dim, k int) EngineBackend {
@@ -399,5 +407,40 @@ func TestStatsCarriesServingHealthGauges(t *testing.T) {
 	if st.Engine.CompactorLagPoints != 0 || st.Engine.SnapshotAgeTicks != 0 {
 		t.Fatalf("after flush: lag=%d age=%d, want 0/0",
 			st.Engine.CompactorLagPoints, st.Engine.SnapshotAgeTicks)
+	}
+}
+
+// TestReadHeaderTimeoutClosesStalledConn: a client that sends half a
+// request header and then stalls must have its connection closed once
+// the header timeout passes, instead of pinning it (and a server
+// goroutine) forever.
+func TestReadHeaderTimeoutClosesStalledConn(t *testing.T) {
+	s := New(&stubBackend{dim: 2}, Options{})
+	if s.http.ReadHeaderTimeout != readHeaderTimeout || s.http.ReadTimeout != 0 {
+		t.Fatalf("New set ReadHeaderTimeout %v, ReadTimeout %v; want %v, 0",
+			s.http.ReadHeaderTimeout, s.http.ReadTimeout, readHeaderTimeout)
+	}
+	s.http.ReadHeaderTimeout = 100 * time.Millisecond
+	addr, shutdown := serve(t, s)
+	defer shutdown()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	// The server must hang up well before this client-side deadline.
+	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	// EOF or a reset means the server closed the connection.
+	start := time.Now()
+	_, err = io.ReadAll(conn)
+	var ne net.Error
+	if errors.As(err, &ne) && ne.Timeout() {
+		t.Fatalf("connection still open after %v with a half-sent header", time.Since(start))
 	}
 }

@@ -15,12 +15,11 @@ import (
 
 // durableCfg sizes shard memory so a few hundred points per shard force
 // threshold-raising rebuilds — the state a warm restart must carry.
-func durableCfg(kind cf.CoreKind, tier cf.SlabTier, shards int) core.Config {
+func durableCfg(kind cf.CoreKind, shards int) core.Config {
 	cfg := core.DefaultConfig(2, 4)
 	cfg.Memory = shards * 4 * 1024
 	cfg.Refine = false
 	cfg.Core = kind
-	cfg.SlabTier = tier
 	return cfg
 }
 
@@ -147,7 +146,7 @@ func snapshotsEquivalent(t *testing.T, label string, a, b *Snapshot) {
 
 func TestDurableFreshOpenInitializesStore(t *testing.T) {
 	disk := faultfs.NewDisk()
-	cfg := durableCfg(cf.CoreClassic, cf.TierF64, 2)
+	cfg := durableCfg(cf.CoreClassic, 2)
 	e, rec, err := Open(cfg, Options{Shards: 2}, &DurableOptions{FS: disk})
 	if err != nil {
 		t.Fatal(err)
@@ -192,7 +191,7 @@ func TestDurableFreshOpenInitializesStore(t *testing.T) {
 func TestDurableCleanCloseReopenContinuesBitIdentically(t *testing.T) {
 	const W = 3
 	ctx := context.Background()
-	cfg := durableCfg(cf.CoreBETULA, cf.TierF32, W)
+	cfg := durableCfg(cf.CoreBETULA, W)
 	disk := faultfs.NewDisk()
 	dur := &DurableOptions{FS: disk, SegmentBytes: 2048}
 
@@ -295,7 +294,7 @@ func TestDurableWALOnlyRecoveryAfterCrash(t *testing.T) {
 	// in the WAL alone, and a full crash must recover all of it.
 	const W = 2
 	ctx := context.Background()
-	cfg := durableCfg(cf.CoreClassic, cf.TierF64, W)
+	cfg := durableCfg(cf.CoreClassic, W)
 	disk := faultfs.NewDisk()
 	dur := &DurableOptions{FS: disk, SegmentBytes: 1024, SyncEvery: 1}
 
@@ -344,7 +343,7 @@ func TestDurableWALOnlyRecoveryAfterCrash(t *testing.T) {
 
 func TestDurableCheckpointReclaimsWALSegments(t *testing.T) {
 	ctx := context.Background()
-	cfg := durableCfg(cf.CoreClassic, cf.TierF64, 1)
+	cfg := durableCfg(cf.CoreClassic, 1)
 	disk := faultfs.NewDisk()
 	e, _, err := Open(cfg, Options{Shards: 1}, &DurableOptions{FS: disk, SegmentBytes: 256})
 	if err != nil {
@@ -381,7 +380,7 @@ func TestDurableCheckpointReclaimsWALSegments(t *testing.T) {
 }
 
 func TestDurableShardCountMismatchRejected(t *testing.T) {
-	cfg := durableCfg(cf.CoreClassic, cf.TierF64, 2)
+	cfg := durableCfg(cf.CoreClassic, 2)
 	disk := faultfs.NewDisk()
 	dur := &DurableOptions{FS: disk}
 	e, _, err := Open(cfg, Options{Shards: 2}, dur)
@@ -397,7 +396,7 @@ func TestDurableShardCountMismatchRejected(t *testing.T) {
 }
 
 func TestDurableIdentityMismatchRejected(t *testing.T) {
-	cfg := durableCfg(cf.CoreClassic, cf.TierF64, 2)
+	cfg := durableCfg(cf.CoreClassic, 2)
 	disk := faultfs.NewDisk()
 	dur := &DurableOptions{FS: disk}
 	e, _, err := Open(cfg, Options{Shards: 2}, dur)
@@ -412,7 +411,7 @@ func TestDurableIdentityMismatchRejected(t *testing.T) {
 	if _, _, err := Open(badCore, Options{Shards: 2}, dur); err == nil {
 		t.Fatal("core mismatch accepted")
 	}
-	badDim := durableCfg(cf.CoreClassic, cf.TierF64, 2)
+	badDim := durableCfg(cf.CoreClassic, 2)
 	badDim.Dim = 3
 	if _, _, err := Open(badDim, Options{Shards: 2}, dur); err == nil {
 		t.Fatal("dimension mismatch accepted")
@@ -425,7 +424,7 @@ func TestDurableIdentityMismatchRejected(t *testing.T) {
 }
 
 func TestCheckpointRequiresDurableStore(t *testing.T) {
-	cfg := durableCfg(cf.CoreClassic, cf.TierF64, 1)
+	cfg := durableCfg(cf.CoreClassic, 1)
 	e, err := New(cfg, Options{Shards: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -441,7 +440,7 @@ func TestCheckpointRequiresDurableStore(t *testing.T) {
 }
 
 func TestDurableOptionsRequireFS(t *testing.T) {
-	cfg := durableCfg(cf.CoreClassic, cf.TierF64, 1)
+	cfg := durableCfg(cf.CoreClassic, 1)
 	if _, _, err := Open(cfg, Options{Shards: 1}, &DurableOptions{}); err == nil {
 		t.Fatal("DurableOptions without FS accepted")
 	}

@@ -132,11 +132,18 @@ func ResumeSnapshot(r io.Reader, cfg Config) (*Clusterer, error) {
 		return nil, err
 	}
 	c := &Clusterer{cfg: cfg, eng: eng}
+	var points int64
 	for i := uint64(0); i < count; i++ {
 		entry, err := readCF(br, int(dim), snapCore)
 		if err != nil {
 			return nil, fmt.Errorf("birch: reading snapshot entry %d: %w", i, err)
 		}
+		// The tree sums entry counts into its nonleaf CFs; a total past
+		// int64 would wrap them negative.
+		if entry.N > math.MaxInt64-points {
+			return nil, fmt.Errorf("birch: snapshot entry %d: total point count overflows int64", i)
+		}
+		points += entry.N
 		if err := eng.AddCF(entry); err != nil {
 			return nil, err
 		}

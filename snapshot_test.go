@@ -2,9 +2,14 @@ package birch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
+	"strings"
 	"testing"
+
+	"birch/internal/cf"
+	"birch/internal/vec"
 )
 
 func noRefineConfig(k int) Config {
@@ -365,5 +370,29 @@ func TestWriteSnapshotPropagatesErrors(t *testing.T) {
 	}
 	if _, err := ResumeSnapshot(&buf, noRefineConfig(2)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestResumeSnapshotRejectsCountOverflow: entries whose point counts sum
+// past int64 are rejected, instead of wrapping the tree's summary counts
+// negative and panicking on the next split.
+func TestResumeSnapshotRejectsCountOverflow(t *testing.T) {
+	var buf bytes.Buffer
+	buf.Write(snapshotMagic[:])
+	buf.WriteByte(byte(cf.CoreClassic))
+	for _, v := range []uint64{2, math.Float64bits(0), 2} {
+		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	big := cf.CF{N: 1 << 62, LS: vec.Vector{0, 0}}
+	for i := 0; i < 2; i++ {
+		if err := writeCF(&buf, &big); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := ResumeSnapshot(&buf, noRefineConfig(2))
+	if err == nil || !strings.Contains(err.Error(), "overflows int64") {
+		t.Fatalf("ResumeSnapshot = %v, want a point-count overflow error", err)
 	}
 }
