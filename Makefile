@@ -49,10 +49,12 @@ test-tail:
 	$(GO) test -race -run 'TailWorkers|TestAssign|TestCluster|ClosestLeafPairDistanceWorkers|ClassifyBatch|NearestBatch' ./internal/kmeans ./internal/cftree ./internal/core ./internal/stream
 
 # Full crash-recovery battery (DESIGN.md §14): kill the durable engine
-# at CRASH_TRIALS randomized byte offsets per core cell, reopen,
-# and assert exact CF conservation against an uncrashed reference.
+# at CRASH_TRIALS randomized points per core cell (the unsynced tail, or
+# inside an automatic checkpoint), reopen, and assert exact CF
+# conservation against an uncrashed reference; plus the automatic
+# checkpoint policy and failure tests.
 test-crash:
-	BIRCH_CRASH_TRIALS=$(CRASH_TRIALS) $(GO) test -race -run 'TestCrashRecoveryBattery|TestCrashDuringCheckpoint' -count=1 ./internal/stream
+	BIRCH_CRASH_TRIALS=$(CRASH_TRIALS) $(GO) test -race -run 'TestCrash|TestAutoCheckpoint' -count=1 ./internal/stream
 
 race: test-stream test-tail
 	$(GO) test -race ./...

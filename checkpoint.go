@@ -14,10 +14,11 @@ package birch
 //
 // OpenDurable extends this to the concurrent streaming engine: each
 // shard persists an engine checkpoint plus a write-ahead log on an FS,
-// and reopening the same store warm-restarts the engine, replaying
-// whatever the log preserved beyond the last checkpoint. The crash
-// battery in internal/stream proves the recovery guarantees; DESIGN.md
-// §14 states them precisely.
+// checkpointing itself whenever its log outgrows the bound described at
+// OpenDurable, and reopening the same store warm-restarts the engine,
+// replaying whatever the log preserved beyond the last checkpoint. The
+// crash battery in internal/stream proves the recovery guarantees;
+// DESIGN.md §14 states them precisely.
 
 import (
 	"errors"
@@ -54,7 +55,16 @@ type ShardRecovery = stream.ShardRecovery
 // and behaves like NewStreamClusterer with write-ahead logging on; on a
 // store holding a previous run's state it restores every shard from its
 // checkpoint, replays the WAL tail, and reports what survived in
-// RecoveryStats. Call Checkpoint on the returned engine for an explicit
+// RecoveryStats.
+//
+// Each shard checkpoints itself, between two batches, once its WAL on
+// disk reaches max(SegmentBytes, 4 × its last checkpoint's size), and
+// then deletes the WAL segments the checkpoint covers. The log a crash
+// leaves to replay is therefore bounded by the tree's size, not by how
+// long the engine has run, and checkpoint writes stay within a quarter
+// of the WAL bytes once trees outgrow a quarter segment. A failed
+// automatic checkpoint is reported by Err and retried one interval
+// later. Call Checkpoint on the returned engine for an explicit
 // durability barrier; Close always takes a final one.
 //
 //	s, rec, err := birch.OpenDurable(cfg, birch.StreamOptions{Shards: 4},

@@ -162,7 +162,9 @@ func runWALIngest(pts []vec.Vector, spec walSpec) (pps, walBytes float64) {
 }
 
 // runWALReplay builds a fully-synced store whose WAL holds the entire
-// stream, crashes it, and times the warm restart's replay.
+// stream, crashes it, and times the warm restart's replay. Each shard's
+// WAL stays under walSegmentBytes, the smallest automatic checkpoint
+// interval, so no shard checkpoints before the crash.
 func runWALReplay(pts []vec.Vector) (nsPerPoint, pps float64) {
 	cfg := streamBenchConfig()
 	disk := faultfs.NewDisk()

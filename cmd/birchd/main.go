@@ -22,6 +22,8 @@
 // queued inserts are folded into the engine, a final snapshot is
 // published (and, with -store, checkpointed), then the process exits.
 // Every insert that was acked with a 200 is covered by that snapshot.
+// With -store each shard also checkpoints on its own as its WAL grows,
+// so a crash replays a bounded tail rather than the whole run.
 package main
 
 import (
@@ -74,7 +76,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, ready cha
 		shards   = fs.Int("shards", 1, "in-process shard workers (serve mode)")
 		fleet    = fs.Int("fleet", 1, "total fleet width W this daemon is one shard of (shard mode)")
 		compact  = fs.Duration("compact", 500*time.Millisecond, "background compaction period (0 = flush-only)")
-		store    = fs.String("store", "", "durable store directory (WAL + checkpoints; empty = in-memory)")
+		store    = fs.String("store", "", "durable store directory: WAL + shard checkpoints, taken automatically as the WAL grows and at shutdown (empty = in-memory)")
 
 		refresh = fs.Duration("refresh", time.Second, "coordinator snapshot refresh period")
 

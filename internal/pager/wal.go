@@ -10,8 +10,8 @@
 //	[u32 frameLen = 8 + len(payload)] [u32 crc] [u64 seq] [payload]
 //
 // little-endian, where crc is CRC-32C (Castagnoli) over seq||payload.
-// Sequence numbers start at 1 and increase by exactly 1 across segment
-// boundaries.
+// Sequence numbers start at 1, or just past WALOptions.Covered, and
+// increase by exactly 1 across segment boundaries.
 //
 // Recovery rule: replay is the longest valid prefix. OpenWAL scans
 // segments in order and stops at the first invalid frame (bad length,
@@ -45,21 +45,31 @@ var walCRCTable = crc32.MakeTable(crc32.Castagnoli)
 // ErrPayloadTooLarge is returned by WAL.Append for oversized records.
 var ErrPayloadTooLarge = errors.New("pager: WAL payload exceeds limit")
 
+// DefaultSegmentBytes is the segment rotation size a zero
+// WALOptions.SegmentBytes stands for.
+const DefaultSegmentBytes = 1 << 20
+
 // WALOptions tunes one WAL instance.
 type WALOptions struct {
 	// SegmentBytes rotates to a fresh segment once the active one
-	// reaches this size. Zero means the default (1 MiB).
+	// reaches this size. Zero means DefaultSegmentBytes.
 	SegmentBytes int
 	// SyncEvery syncs the active segment after every SyncEvery appended
 	// records: 1 syncs every record (most durable), k amortizes over k
 	// records, 0 never auto-syncs (durability only at explicit Sync,
 	// rotation, and Close).
 	SyncEvery int
+	// Covered is the highest sequence number whose effects the caller
+	// already holds elsewhere, such as a checkpoint. When the log holds
+	// no record beyond it (it is empty, or its later segments are gone),
+	// OpenWAL deletes what is left and restarts the log at Covered+1, so
+	// a new record never reuses a number the next replay would skip.
+	Covered uint64
 }
 
 func (o WALOptions) withDefaults() WALOptions {
 	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 1 << 20
+		o.SegmentBytes = DefaultSegmentBytes
 	}
 	if o.SyncEvery < 0 {
 		o.SyncEvery = 0
@@ -87,8 +97,10 @@ type WAL struct {
 	active     File
 	activeName string
 	activeSize int64
+	bytes      int64  // frame bytes across every segment on disk
 	nextSeq    uint64 // seq the next Append will use
 	sinceSync  int
+	frame      []byte // Append's reusable frame buffer
 }
 
 // OpenWAL opens (creating if absent) the WAL named prefix on fs,
@@ -152,12 +164,23 @@ func OpenWAL(fs FS, prefix string, opt WALOptions, apply func(seq uint64, payloa
 	}
 	stats.Torn = torn
 	w.nextSeq = expect
+	w.bytes = stats.Bytes
 
 	// Position for appending: truncate the torn segment at the tear and
 	// keep it active; otherwise append to the last surviving segment.
 	segs, err = w.segments()
 	if err != nil {
 		return nil, stats, err
+	}
+	if w.nextSeq <= w.opt.Covered {
+		// Every record left is covered: drop them all and start past
+		// the covered range.
+		for _, seg := range segs {
+			if err := w.fs.Remove(seg.name); err != nil {
+				return nil, stats, fmt.Errorf("pager: WAL drop covered segment %s: %w", seg.name, err)
+			}
+		}
+		segs, w.nextSeq, w.bytes = nil, w.opt.Covered+1, 0
 	}
 	if len(segs) == 0 {
 		if err := w.newSegment(w.nextSeq); err != nil {
@@ -311,7 +334,12 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 		}
 	}
 	seq := w.nextSeq
-	buf := make([]byte, frame)
+	// Both FS implementations copy on WriteAt, so one WAL-owned frame
+	// buffer serves every record.
+	if int64(cap(w.frame)) < frame {
+		w.frame = make([]byte, frame)
+	}
+	buf := w.frame[:frame]
 	binary.LittleEndian.PutUint32(buf, uint32(8+len(payload)))
 	binary.LittleEndian.PutUint64(buf[8:], seq)
 	copy(buf[16:], payload)
@@ -320,6 +348,7 @@ func (w *WAL) Append(payload []byte) (uint64, error) {
 		return 0, fmt.Errorf("pager: WAL append seq %d: %w", seq, err)
 	}
 	w.activeSize += frame
+	w.bytes += frame
 	w.nextSeq = seq + 1
 	w.sinceSync++
 	if w.opt.SyncEvery > 0 && w.sinceSync >= w.opt.SyncEvery {
@@ -343,9 +372,13 @@ func (w *WAL) Sync() error {
 }
 
 // Rotate syncs and closes the active segment and starts a fresh one.
+// An empty active segment is only synced: it already is a fresh one.
 func (w *WAL) Rotate() error {
 	if err := w.Sync(); err != nil {
 		return err
+	}
+	if w.activeSize == 0 {
+		return nil
 	}
 	if err := w.active.Close(); err != nil {
 		return fmt.Errorf("pager: WAL close %s: %w", w.activeName, err)
@@ -358,6 +391,8 @@ func (w *WAL) Rotate() error {
 // effects. The active segment is never deleted, so truncation is
 // segment-granular: replay after recovery may still surface records
 // ≤ seq and callers must filter by their checkpointed sequence number.
+// A caller that rotates just before its checkpoint leaves every covered
+// record in a closed segment, so nothing covered survives.
 func (w *WAL) TruncateThrough(seq uint64) error {
 	segs, err := w.segments()
 	if err != nil {
@@ -365,13 +400,19 @@ func (w *WAL) TruncateThrough(seq uint64) error {
 	}
 	for i := 0; i+1 < len(segs); i++ {
 		if segs[i+1].firstSeq <= seq+1 && segs[i].name != w.activeName {
+			n := w.fileSize(segs[i].name)
 			if err := w.fs.Remove(segs[i].name); err != nil {
 				return fmt.Errorf("pager: WAL truncate %s: %w", segs[i].name, err)
 			}
+			w.bytes -= n
 		}
 	}
 	return nil
 }
+
+// Bytes returns the size of the log on disk: every frame replayed at
+// open or appended since, less the segments TruncateThrough deleted.
+func (w *WAL) Bytes() int64 { return w.bytes }
 
 // LastSeq returns the sequence number of the most recently appended
 // record (0 when the log is empty).

@@ -303,3 +303,221 @@ func TestWALOversizedPayloadRejected(t *testing.T) {
 		t.Fatalf("Append oversized = %v, want ErrPayloadTooLarge", err)
 	}
 }
+
+// walDiskBytes sums the sizes of prefix's segment files on fs.
+func walDiskBytes(t *testing.T, fs pager.FS, prefix string) int64 {
+	t.Helper()
+	names, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var total int64
+	for _, n := range names {
+		if !strings.HasPrefix(n, prefix+".wal.") {
+			continue
+		}
+		f, err := fs.Open(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		size, err := f.Size()
+		if cerr := f.Close(); cerr != nil && err == nil {
+			err = cerr
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += size
+	}
+	return total
+}
+
+// TestWALBytesTracksDisk: Bytes is the log's size on disk through
+// appends, rotations, truncation and a reopen, and rotating an empty
+// active segment creates no new file.
+func TestWALBytesTracksDisk(t *testing.T) {
+	disk := faultfs.NewDisk()
+	opt := pager.WALOptions{SegmentBytes: 96, SyncEvery: 1}
+	w, _, err := pager.OpenWAL(disk, "s0", opt, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string) {
+		t.Helper()
+		if got, want := w.Bytes(), walDiskBytes(t, disk, "s0"); got != want {
+			t.Fatalf("%s: Bytes() = %d, segments on disk hold %d", when, got, want)
+		}
+	}
+	check("fresh")
+	for i := 0; i < 24; i++ {
+		if _, err := w.Append([]byte(fmt.Sprintf("payload-%02d-xxxxxxxx", i))); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after append %d", i))
+	}
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := disk.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := disk.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Fatalf("rotating an empty segment changed the store: %v -> %v", before, after)
+	}
+	check("after rotation")
+	if err := w.TruncateThrough(w.LastSeq()); err != nil {
+		t.Fatal(err)
+	}
+	check("after truncation")
+	if w.Bytes() != 0 {
+		t.Fatalf("rotate + truncate through the last record left %d bytes", w.Bytes())
+	}
+	if _, err := w.Append([]byte("tail")); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w, _, _, _ = collectReplay(t, disk, "s0", opt)
+	check("after reopen")
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestWALCoveredRestartsPastCheckpoint: a log that holds no record
+// beyond Covered restarts at Covered+1, whether its segments are gone
+// or hold only covered records; a log with records beyond Covered is
+// left alone.
+func TestWALCoveredRestartsPastCheckpoint(t *testing.T) {
+	appendN := func(w *pager.WAL, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if _, err := w.Append([]byte(fmt.Sprintf("r%02d", i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		records  int  // written before the reopen
+		dropSegs bool // delete every segment before the reopen
+		covered  uint64
+		wantNext uint64
+		restart  bool // the reopen must leave one fresh segment at wantNext
+	}{
+		{"segments lost", 30, true, 30, 31, true},
+		{"only covered records", 10, false, 30, 31, true},
+		{"records beyond covered", 35, false, 30, 36, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			disk := faultfs.NewDisk()
+			opt := pager.WALOptions{SegmentBytes: 256, SyncEvery: 1}
+			w, _, err := pager.OpenWAL(disk, "s0", opt, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendN(w, tc.records)
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tc.dropSegs {
+				names, err := disk.List()
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, n := range names {
+					if err := disk.Remove(n); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			before, err := disk.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			opt.Covered = tc.covered
+			w, _, _, _ = collectReplay(t, disk, "s0", opt)
+			if got := w.LastSeq() + 1; got != tc.wantNext {
+				t.Fatalf("next seq after reopen = %d, want %d", got, tc.wantNext)
+			}
+			after, err := disk.List()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := strings.Join(before, " ")
+			if tc.restart {
+				want = fmt.Sprintf("s0.wal.%020d", tc.wantNext)
+			}
+			if got := strings.Join(after, " "); got != want {
+				t.Fatalf("store after reopen holds %q, want %q", got, want)
+			}
+			if w.Bytes() != walDiskBytes(t, disk, "s0") {
+				t.Fatalf("Bytes() = %d, disk holds %d", w.Bytes(), walDiskBytes(t, disk, "s0"))
+			}
+			seq, err := w.Append([]byte("new"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+			disk.Crash()
+			_, st, seqs, _ := collectReplay(t, disk, "s0", opt)
+			if st.Torn || len(seqs) == 0 || seqs[len(seqs)-1] != seq || seq != tc.wantNext {
+				t.Fatalf("replay after the restart: seqs %v (torn=%v), want to end at %d", seqs, st.Torn, tc.wantNext)
+			}
+		})
+	}
+}
+
+// discardFS is a pager.FS whose files drop every write, so an
+// allocation count of WAL.Append sees only the WAL's own allocations.
+type discardFS struct{}
+
+type discardFile struct{}
+
+func (discardFS) Create(string) (pager.File, error) { return discardFile{}, nil }
+func (discardFS) Open(string) (pager.File, error)   { return discardFile{}, nil }
+func (discardFS) Remove(string) error               { return nil }
+func (discardFS) Rename(string, string) error       { return nil }
+func (discardFS) List() ([]string, error)           { return nil, nil }
+
+func (discardFile) ReadAt(p []byte, _ int64) (int, error) {
+	return 0, fmt.Errorf("discardFile: no data")
+}
+func (discardFile) WriteAt(p []byte, _ int64) (int, error) { return len(p), nil }
+func (discardFile) Size() (int64, error)                   { return 0, nil }
+func (discardFile) Truncate(int64) error                   { return nil }
+func (discardFile) Sync() error                            { return nil }
+func (discardFile) Close() error                           { return nil }
+
+// TestWALAppendSteadyStateAllocs pins Append at zero allocations once
+// its frame buffer has grown: every record is framed in one reusable
+// WAL-owned buffer.
+func TestWALAppendSteadyStateAllocs(t *testing.T) {
+	w, _, err := pager.OpenWAL(discardFS{}, "s0", pager.WALOptions{SegmentBytes: 1 << 30}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := make([]byte, 4+64*8*8) // one 64-point batch record at d=8
+	if _, err := w.Append(payload); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, err := w.Append(payload); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Append allocates %.1f times per record, want 0", allocs)
+	}
+}

@@ -74,12 +74,24 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// readHeaderTimeout bounds how long a connection may take to deliver a
-// request header. Without it a client that never finishes its header
-// holds a connection and a goroutine forever. ReadTimeout stays unset:
-// with IdleTimeout unset it would also close idle keep-alive
-// connections.
-const readHeaderTimeout = 10 * time.Second
+// Connection timeouts. Without them a client that never finishes its
+// request, or holds a keep-alive connection open and silent, pins a
+// connection and a goroutine forever.
+const (
+	// readHeaderTimeout bounds how long a request header may take.
+	readHeaderTimeout = 10 * time.Second
+	// readTimeout bounds the whole request read, header and body, so a
+	// client that stalls mid-body is closed too. It leaves a slow link
+	// about 1 MiB/s for the largest frame the server accepts. Handlers
+	// are not bounded by it: net/http clears the read deadline once the
+	// body has been read.
+	readTimeout = time.Minute
+	// idleTimeout closes a keep-alive connection that has sent no new
+	// request for this long. It is longer than the 90 s idle timeout of
+	// Client's transport, so a client retires an idle connection before
+	// the server closes it.
+	idleTimeout = 2 * time.Minute
+)
 
 // Server fronts a Backend with the HTTP API and the micro-batching
 // admission layer. Create with New, serve with Serve, stop with
@@ -130,7 +142,12 @@ func New(b Backend, opts Options) *Server {
 	s.mux.HandleFunc("GET /summary", s.handleSummary)
 	s.mux.HandleFunc("GET /stats", s.handleStats)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.http = &http.Server{Handler: s.mux, ReadHeaderTimeout: readHeaderTimeout}
+	s.http = &http.Server{
+		Handler:           s.mux,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	s.collectWG.Add(2)
 	go s.runInsertCollector()
 	go s.runClassifyCollector()

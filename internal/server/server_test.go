@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
@@ -14,6 +15,7 @@ import (
 
 	"birch/internal/cf"
 	"birch/internal/core"
+	"birch/internal/faultfs"
 	"birch/internal/stream"
 	"birch/internal/vec"
 )
@@ -410,15 +412,52 @@ func TestStatsCarriesServingHealthGauges(t *testing.T) {
 	}
 }
 
+// TestStatsShowAutomaticCheckpoints: on a durable engine whose shards
+// checkpoint on their own, /stats reports each shard's completed
+// checkpoints.
+func TestStatsShowAutomaticCheckpoints(t *testing.T) {
+	cfg := core.DefaultConfig(2, 3)
+	eng, _, err := stream.Open(cfg, stream.Options{Shards: 2},
+		&stream.DurableOptions{FS: faultfs.NewDisk(), SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, shutdown := startServer(t, EngineBackend{Eng: eng, Cfg: cfg}, Options{})
+	defer shutdown()
+	ctx := context.Background()
+	for i := 0; i < 20; i++ {
+		if _, err := cl.InsertBatch(ctx, testPoints(50, 2), 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := cl.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Engine.Shards) != 2 {
+		t.Fatalf("/stats reports %d shards, want 2", len(st.Engine.Shards))
+	}
+	for _, sh := range st.Engine.Shards {
+		if sh.Checkpoints < 1 {
+			t.Fatalf("shard %d reports %d checkpoints after 1000 inserts, want ≥1", sh.Shard, sh.Checkpoints)
+		}
+	}
+}
+
 // TestReadHeaderTimeoutClosesStalledConn: a client that sends half a
 // request header and then stalls must have its connection closed once
 // the header timeout passes, instead of pinning it (and a server
 // goroutine) forever.
 func TestReadHeaderTimeoutClosesStalledConn(t *testing.T) {
 	s := New(&stubBackend{dim: 2}, Options{})
-	if s.http.ReadHeaderTimeout != readHeaderTimeout || s.http.ReadTimeout != 0 {
-		t.Fatalf("New set ReadHeaderTimeout %v, ReadTimeout %v; want %v, 0",
-			s.http.ReadHeaderTimeout, s.http.ReadTimeout, readHeaderTimeout)
+	if s.http.ReadHeaderTimeout != readHeaderTimeout || s.http.ReadTimeout != readTimeout ||
+		s.http.IdleTimeout != idleTimeout {
+		t.Fatalf("New set ReadHeaderTimeout %v, ReadTimeout %v, IdleTimeout %v; want %v, %v, %v",
+			s.http.ReadHeaderTimeout, s.http.ReadTimeout, s.http.IdleTimeout,
+			readHeaderTimeout, readTimeout, idleTimeout)
 	}
 	s.http.ReadHeaderTimeout = 100 * time.Millisecond
 	addr, shutdown := serve(t, s)
@@ -432,15 +471,79 @@ func TestReadHeaderTimeoutClosesStalledConn(t *testing.T) {
 	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n")); err != nil {
 		t.Fatal(err)
 	}
+	requireServerHangsUp(t, conn, "with a half-sent header")
+}
+
+// requireServerHangsUp reads conn to its end and fails if the server
+// has not closed it within a few seconds.
+func requireServerHangsUp(t *testing.T, conn net.Conn, what string) {
+	t.Helper()
 	// The server must hang up well before this client-side deadline.
 	if err := conn.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	// EOF or a reset means the server closed the connection.
+	// EOF or a reset means the server closed the connection; a reply it
+	// sends first (an error for a cut-off body) is read and dropped.
 	start := time.Now()
-	_, err = io.ReadAll(conn)
+	_, err := io.ReadAll(conn)
 	var ne net.Error
 	if errors.As(err, &ne) && ne.Timeout() {
-		t.Fatalf("connection still open after %v with a half-sent header", time.Since(start))
+		t.Fatalf("connection still open after %v %s", time.Since(start), what)
 	}
+}
+
+// TestReadTimeoutClosesStalledBody: a client that sends a header and
+// part of the body it announced, then stalls, is closed once the read
+// timeout passes.
+func TestReadTimeoutClosesStalledBody(t *testing.T) {
+	s := New(&stubBackend{dim: 2}, Options{})
+	s.http.ReadTimeout = 200 * time.Millisecond
+	addr, shutdown := serve(t, s)
+	defer shutdown()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req := "POST /insert HTTP/1.1\r\nHost: x\r\nContent-Type: application/json\r\nContent-Length: 64\r\n\r\n{\"point\":[1,"
+	if _, err := conn.Write([]byte(req)); err != nil {
+		t.Fatal(err)
+	}
+	requireServerHangsUp(t, conn, "with a half-sent body")
+}
+
+// TestIdleTimeoutClosesIdleConn: a keep-alive connection that sends no
+// further request after its first is closed once the idle timeout
+// passes.
+func TestIdleTimeoutClosesIdleConn(t *testing.T) {
+	s := New(&stubBackend{dim: 2}, Options{})
+	s.http.IdleTimeout = 200 * time.Millisecond
+	addr, shutdown := serve(t, s)
+	defer shutdown()
+
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write([]byte("GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	if err := resp.Body.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || resp.Close || br.Buffered() != 0 {
+		t.Fatalf("first request: status %d, close %v, %d bytes after it; want 200 on a kept-alive connection",
+			resp.StatusCode, resp.Close, br.Buffered())
+	}
+	requireServerHangsUp(t, conn, "while idle after a kept-alive request")
 }

@@ -3,13 +3,19 @@ package stream
 // The crash-recovery battery: kill a durable streaming engine at a
 // randomized byte offset into its pending (unsynced) write stream —
 // tearing whatever write straddles the kill point — reopen the store,
-// and prove exact CF conservation against an uncrashed reference:
+// and prove exact CF conservation against an uncrashed reference. The
+// shards checkpoint on their own several times per trial, and four
+// trials in five kill inside one of those automatic checkpoints instead
+// of after the last batch: in its temp-file write, at its fsync, at its
+// rename into place, or at a WAL segment delete.
 //
 //   - recovery always succeeds (a torn WAL tail truncates, it never
 //     poisons the store);
 //   - each shard recovers a whole-record PREFIX of its accepted batches,
 //     never a subset with holes and never a torn half-batch;
-//   - everything covered by the last Checkpoint barrier survives;
+//   - everything covered by the last Checkpoint barrier survives, and
+//     so does everything covered by the last checkpoint installed before
+//     the kill, which is the checkpoint recovery starts from;
 //   - the recovered shard state is BIT-IDENTICAL to a fresh engine fed
 //     exactly the surviving prefix (tree dump, leaf CFs, threshold,
 //     pager accounting);
@@ -25,6 +31,7 @@ package stream
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
@@ -64,24 +71,135 @@ func TestCrashRecoveryBattery(t *testing.T) {
 			t.Parallel()
 			for k := 0; k < trials; k++ {
 				seed := int64(1e6)*int64(kind) + int64(k)
+				site := killSite(k % int(numKillSites))
 				t.Run(fmt.Sprintf("kill%d", k), func(t *testing.T) {
-					runCrashTrial(t, kind, seed)
+					runCrashTrial(t, kind, seed, site)
 				})
 			}
 		})
 	}
 }
 
-func runCrashTrial(t *testing.T, kind cf.CoreKind, seed int64) {
+// killSite is where a crash trial kills the engine.
+type killSite int
+
+const (
+	killTail     killSite = iota // a random byte of the unsynced tail, after the last batch
+	killTmpWrite                 // inside an automatic checkpoint's temp-file write
+	killTmpSync                  // at that temp file's fsync
+	killRename                   // at its rename into place
+	killTruncate                 // at the delete of a WAL segment it covers
+	numKillSites
+)
+
+func (k killSite) String() string {
+	return [...]string{"tail", "tmp write", "tmp fsync", "rename", "truncate"}[k]
+}
+
+var errKilled = errors.New("stream test: process killed")
+
+// killer is a hookFS hook that kills the process at a kill site once
+// armed: the disk crashes, keeping a random prefix of its unsynced
+// writes, and every later operation fails, as after a kill -9. Until
+// then it records the WAL sequence number each shard's installed
+// checkpoint covers.
+type killer struct {
+	disk      *faultfs.Disk
+	r         *rand.Rand
+	site      killSite
+	after     bool // kill just after the site's operation, not just before
+	skip      int  // matching operations to let pass once armed
+	armed     bool
+	dead      bool
+	installed []uint64 // per shard
+	err       error    // a failure inside the hook, reported by the test
+}
+
+func (k *killer) hook(ev fsEvent) error {
+	if k.dead {
+		return errKilled
+	}
+	if ev.after && ev.op == "rename" && isCkptTmp(ev.name) {
+		var i int
+		if _, err := fmt.Sscanf(ev.name, "shard-%d.ckpt.tmp", &i); err != nil {
+			k.err = err
+		} else if seq, err := readCkptSeq(k.disk, i); err != nil {
+			k.err = err
+		} else {
+			k.installed[i] = seq
+		}
+	}
+	if !k.armed || !k.at(ev) {
+		return nil
+	}
+	if k.skip > 0 {
+		k.skip--
+		return nil
+	}
+	pend := k.disk.PendingBytes()
+	cut := k.r.Int63n(pend + 1)
+	if k.site == killTmpWrite {
+		// Tear the write just made: keep what came before it and a
+		// random part of it.
+		cut = pend - int64(ev.n) + k.r.Int63n(int64(ev.n)+1)
+	}
+	k.disk.CrashAt(cut)
+	k.dead = true
+	return errKilled
+}
+
+// at reports whether ev is where the armed kill lands.
+func (k *killer) at(ev fsEvent) bool {
+	switch k.site {
+	case killTmpWrite:
+		return ev.after && ev.op == "write" && isCkptTmp(ev.name)
+	case killTmpSync:
+		return ev.after == k.after && ev.op == "sync" && isCkptTmp(ev.name)
+	case killRename:
+		return ev.after == k.after && ev.op == "rename" && isCkptTmp(ev.name)
+	case killTruncate:
+		return ev.after == k.after && ev.op == "remove" && isWALSeg(ev.name)
+	}
+	return false
+}
+
+// requireAutoCheckpoints flushes e and fails unless every shard has
+// completed at least one automatic checkpoint besides the one explicit
+// barrier the trial has run.
+func requireAutoCheckpoints(t *testing.T, e *Engine) {
+	t.Helper()
+	if err := e.Flush(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	for _, st := range e.Stats().Shards {
+		if st.Checkpoints < 2 {
+			t.Fatalf("shard %d completed %d checkpoints, want the barrier plus at least one automatic one",
+				st.Shard, st.Checkpoints)
+		}
+	}
+}
+
+func runCrashTrial(t *testing.T, kind cf.CoreKind, seed int64, site killSite) {
 	const W = 3
 	ctx := context.Background()
 	cfg := durableCfg(kind, W)
 	r := rand.New(rand.NewSource(seed))
 	disk := faultfs.NewDisk()
+	kill := &killer{disk: disk, r: rand.New(rand.NewSource(^seed)), site: site,
+		after: seed%2 == 1, installed: make([]uint64, W)}
+	if site == killTmpWrite {
+		// A checkpoint reaches its file in some two dozen writes (header,
+		// engine fields, buffered tree pages); tear a random one of them.
+		kill.skip = r.Intn(24)
+	}
+	hfs := &hookFS{disk: disk, hook: kill.hook}
 	// SyncEvery=0 is the adversarial setting: nothing is durable except
-	// what rotation, Checkpoint and Close explicitly sync, so the kill
-	// point decides how much of the tail survives.
-	dur := &DurableOptions{FS: disk, SegmentBytes: 2048, SyncEvery: 0}
+	// what rotation, checkpoints and Close explicitly sync, so the kill
+	// point decides how much of the tail survives. SegmentBytes=512 sets
+	// the automatic checkpoint interval, max(512, 4 × the last
+	// checkpoint), low enough that every shard checkpoints on its own
+	// several times per trial.
+	dur := &DurableOptions{FS: hfs, SegmentBytes: 512, SyncEvery: 0}
 
 	e1, rec, err := Open(cfg, Options{Shards: W}, dur)
 	if err != nil {
@@ -94,8 +212,15 @@ func runCrashTrial(t *testing.T, kind cf.CoreKind, seed int64) {
 	// Deterministic ingest with full per-shard batch accounting: batch b
 	// round-robins to shard b%W. A Checkpoint barrier lands at a random
 	// position in the stream; everything before it must survive the kill.
-	nBatches := 40 + r.Intn(40)
-	ckptAt := r.Intn(nBatches)
+	// A trial that kills inside an automatic checkpoint arms the kill at
+	// a random batch after the barrier; the next checkpoint on any shard
+	// to reach the kill site dies there.
+	nBatches := 300 + r.Intn(150)
+	armAt := nBatches
+	if site != killTail {
+		armAt = nBatches/2 + r.Intn(nBatches/8)
+	}
+	ckptAt := r.Intn(armAt)
 	var sent [W][][]vec.Vector
 	var ckptBatches [W]int
 	for b := 0; b < nBatches; b++ {
@@ -107,6 +232,12 @@ func runCrashTrial(t *testing.T, kind cf.CoreKind, seed int64) {
 				ckptBatches[i] = len(sent[i])
 			}
 		}
+		if b == armAt {
+			requireAutoCheckpoints(t, e1)
+			hfs.mu.Lock()
+			kill.armed = true
+			hfs.mu.Unlock()
+		}
 		pts := randBatch(r, 1+r.Intn(12), cfg.Dim)
 		if err := e1.InsertBatch(ctx, pts); err != nil {
 			t.Fatal(err)
@@ -115,23 +246,42 @@ func runCrashTrial(t *testing.T, kind cf.CoreKind, seed int64) {
 	}
 	// Flush so every batch has been applied and WAL-appended (but NOT
 	// synced): the pending write stream is now at its largest.
-	if err := e1.Flush(ctx); err != nil {
-		t.Fatal(err)
+	flushErr := e1.Flush(ctx)
+	hfs.mu.Lock()
+	dead := kill.dead
+	hfs.mu.Unlock()
+	if site != killTail && !dead {
+		t.Fatalf("no checkpoint reached the %v kill site after batch %d of %d", site, armAt, nBatches)
 	}
-
-	// Kill -9 at a random byte of the pending stream.
-	pend := disk.PendingBytes()
-	kill := int64(0)
-	if pend > 0 {
-		kill = r.Int63n(pend + 1)
+	pend, cut := int64(0), int64(0)
+	if !dead {
+		if flushErr != nil {
+			t.Fatal(flushErr)
+		}
+		requireAutoCheckpoints(t, e1)
+		// Kill -9 at a random byte of the pending stream.
+		hfs.mu.Lock()
+		pend = disk.PendingBytes()
+		if pend > 0 {
+			cut = r.Int63n(pend + 1)
+		}
+		disk.CrashAt(cut)
+		kill.dead = true
+		hfs.mu.Unlock()
 	}
-	disk.CrashAt(kill)
 	_ = e1.Close() // the dead process's engine; its errors are expected
+	hfs.mu.Lock()
+	installed, hookErr := kill.installed, kill.err
+	hfs.mu.Unlock()
+	if hookErr != nil {
+		t.Fatal(hookErr)
+	}
 
 	// Recovery must always succeed.
+	dur = &DurableOptions{FS: disk, SegmentBytes: 512, SyncEvery: 0}
 	e2, rec2, err := Open(cfg, Options{}, dur)
 	if err != nil {
-		t.Fatalf("recovery open (kill %d/%d pending): %v", kill, pend, err)
+		t.Fatalf("recovery open (%v kill, tail cut at %d of %d pending bytes): %v", site, cut, pend, err)
 	}
 	if !rec2.Recovered || len(e2.shards) != W {
 		t.Fatalf("recovery shape wrong: recovered=%v shards=%d", rec2.Recovered, len(e2.shards))
@@ -166,6 +316,12 @@ func runCrashTrial(t *testing.T, kind cf.CoreKind, seed int64) {
 		if prefix < ckptBatches[i] {
 			t.Fatalf("shard %d lost checkpointed data: recovered %d batches, checkpoint covered %d",
 				i, prefix, ckptBatches[i])
+		}
+		// Each batch is one WAL record, so a shard's checkpoint covering
+		// sequence s covers its first s batches.
+		if sr.CheckpointSeq != installed[i] || prefix < int(installed[i]) {
+			t.Fatalf("shard %d (%v kill): recovered from checkpoint seq %d with %d batches; the last checkpoint installed before the kill covers %d",
+				i, site, sr.CheckpointSeq, prefix, installed[i])
 		}
 		ref, err := core.NewEngine(scfg)
 		if err != nil {

@@ -18,6 +18,18 @@ package stream
 // durability follows WALOptions.SyncEvery; Checkpoint and Close are
 // full durability barriers.
 //
+// Automatic checkpoints: a shard checkpoints itself, inline on its
+// worker right after the batch that crosses the bound, once its WAL on
+// disk reaches max(SegmentBytes, 4 × its last checkpoint's size). The
+// checkpoint rotates a non-empty active segment first, so truncation
+// deletes every closed segment and the store keeps only the manifest,
+// the checkpoints and each shard's post-checkpoint tail. Replay is then
+// bounded by the tree's size, not the engine's uptime, and checkpoint
+// writes stay at most a quarter of the WAL bytes once a tree's
+// checkpoint outgrows a quarter segment. A failed attempt surfaces
+// through Err, keeps the previous checkpoint and every segment, and is
+// retried one interval later.
+//
 // Recovery (Open with a DurableOptions whose FS holds a manifest): each
 // shard resumes its engine from shard-<i>.ckpt when present, then
 // replays WAL records with sequence numbers beyond the checkpoint's.
@@ -46,11 +58,15 @@ type DurableOptions struct {
 	// FS is the backing store (pager.DirFS for a real directory,
 	// faultfs.Disk in the crash battery). Required.
 	FS pager.FS
-	// SegmentBytes is the WAL segment rotation size (default 1 MiB).
+	// SegmentBytes is the WAL segment rotation size (default 1 MiB). It
+	// is also the smallest automatic checkpoint interval: a shard
+	// checkpoints once its WAL reaches max(SegmentBytes, 4 × its last
+	// checkpoint's size).
 	SegmentBytes int
 	// SyncEvery syncs a shard's WAL after every SyncEvery batches; 1 (the
-	// most durable) syncs each batch, 0 only syncs at rotation,
-	// Checkpoint and Close.
+	// most durable) syncs each batch, 0 only syncs at rotation and at
+	// checkpoints: automatic ones, Checkpoint and Close. A crash then
+	// keeps everything up to the last checkpoint plus any synced tail.
 	SyncEvery int
 }
 
@@ -95,6 +111,16 @@ type ShardRecovery struct {
 type durableState struct {
 	fs     pager.FS
 	walOpt pager.WALOptions
+}
+
+// ckptInterval is how many WAL bytes a shard whose last checkpoint was
+// ckptBytes long appends before it checkpoints again.
+func (ds *durableState) ckptInterval(ckptBytes int64) int64 {
+	seg := int64(ds.walOpt.SegmentBytes)
+	if seg <= 0 {
+		seg = pager.DefaultSegmentBytes
+	}
+	return max(seg, 4*ckptBytes)
 }
 
 var manifestMagic = [8]byte{'B', 'I', 'R', 'C', 'H', 'M', 'F', '1'}
@@ -271,11 +297,12 @@ func recoverShard(ds *durableState, i int, shardCfg core.Config, s *shard) (Shar
 		}
 	}
 	if haveCkpt {
-		eng, seq, err := readShardCheckpoint(ds.fs, i, shardCfg)
+		eng, seq, size, err := readShardCheckpoint(ds.fs, i, shardCfg)
 		if err != nil {
 			return sr, err
 		}
 		s.eng = eng
+		s.ckptBytes = size
 		sr.CheckpointSeq = seq
 		sr.CheckpointPoints = eng.Tree().Points()
 	} else {
@@ -288,7 +315,11 @@ func recoverShard(ds *durableState, i int, shardCfg core.Config, s *shard) (Shar
 
 	dim := shardCfg.Dim
 	pt := vec.New(dim)
-	wal, rstats, err := pager.OpenWAL(ds.fs, shardWALPrefix(i), ds.walOpt,
+	// Covered restarts a log the checkpoint wholly covers past its
+	// sequence number, so new records are never mistaken for covered ones.
+	walOpt := ds.walOpt
+	walOpt.Covered = sr.CheckpointSeq
+	wal, rstats, err := pager.OpenWAL(ds.fs, shardWALPrefix(i), walOpt,
 		func(seq uint64, payload []byte) error {
 			if seq <= sr.CheckpointSeq {
 				// Checkpoint already covers this record; segment-granular
@@ -317,25 +348,28 @@ func recoverShard(ds *durableState, i int, shardCfg core.Config, s *shard) (Shar
 		return sr, fmt.Errorf("stream: shard %d: %w", i, err)
 	}
 	s.wal = wal
+	// The replayed tail counts toward the first automatic checkpoint.
+	s.ckptAt = ds.ckptInterval(s.ckptBytes)
 	sr.LastSeq = wal.LastSeq()
 	sr.Torn = rstats.Torn
 	return sr, nil
 }
 
 // readShardCheckpoint loads shard-<i>.ckpt: the covered WAL sequence
-// number plus the embedded engine checkpoint.
-func readShardCheckpoint(fs pager.FS, i int, shardCfg core.Config) (*core.Engine, uint64, error) {
+// number plus the embedded engine checkpoint. It also returns the
+// file's size, which sets the shard's automatic checkpoint interval.
+func readShardCheckpoint(fs pager.FS, i int, shardCfg core.Config) (*core.Engine, uint64, int64, error) {
 	name := shardCkptName(i)
 	f, err := fs.Open(name)
 	if err != nil {
-		return nil, 0, fmt.Errorf("stream: open %s: %w", name, err)
+		return nil, 0, 0, fmt.Errorf("stream: open %s: %w", name, err)
 	}
 	size, err := f.Size()
 	if err != nil {
 		if cerr := f.Close(); cerr != nil {
 			err = errors.Join(err, cerr)
 		}
-		return nil, 0, fmt.Errorf("stream: size %s: %w", name, err)
+		return nil, 0, 0, fmt.Errorf("stream: size %s: %w", name, err)
 	}
 	r := io.NewSectionReader(f, 0, size)
 	var hdr [20]byte // magic(8) + seq(8) + crc(4)
@@ -343,45 +377,61 @@ func readShardCheckpoint(fs pager.FS, i int, shardCfg core.Config) (*core.Engine
 		if cerr := f.Close(); cerr != nil {
 			err = errors.Join(err, cerr)
 		}
-		return nil, 0, fmt.Errorf("stream: %s header: %w", name, err)
+		return nil, 0, 0, fmt.Errorf("stream: %s header: %w", name, err)
 	}
 	if [8]byte(hdr[:8]) != shardCkptMagic {
 		_ = f.Close()
-		return nil, 0, fmt.Errorf("stream: %s: bad magic", name)
+		return nil, 0, 0, fmt.Errorf("stream: %s: bad magic", name)
 	}
 	seq := binary.LittleEndian.Uint64(hdr[8:16])
 	if crc32.Checksum(hdr[:16], durCRCTable) != binary.LittleEndian.Uint32(hdr[16:20]) {
 		_ = f.Close()
-		return nil, 0, fmt.Errorf("stream: %s: header CRC mismatch", name)
+		return nil, 0, 0, fmt.Errorf("stream: %s: header CRC mismatch", name)
 	}
 	eng, err := core.ResumeEngine(r, shardCfg)
 	if cerr := f.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("stream: %s: %w", name, err)
+		return nil, 0, 0, fmt.Errorf("stream: %s: %w", name, err)
 	}
-	return eng, seq, nil
+	return eng, seq, size, nil
 }
 
 // checkpointShard runs on the shard owner (worker loop, or the closing
-// goroutine after the workers have exited): sync the WAL, write the
-// engine checkpoint to a temp file, sync it, rename it into place, then
-// reclaim fully-covered WAL segments. The rename-after-sync order is
-// what makes a crash at any byte leave either the old or the new
-// checkpoint intact — the crash battery kills inside this sequence too.
+// goroutine after the workers have exited): rotate (and so sync) the
+// WAL, write the engine checkpoint to a temp file, sync it, rename it
+// into place, then delete the WAL segments it covers. The
+// rename-after-sync order is what makes a crash at any byte leave
+// either the old or the new checkpoint intact — the crash battery kills
+// inside this sequence too. Whatever the outcome, the next automatic
+// checkpoint is due one interval after the WAL's current size.
 func (e *Engine) checkpointShard(s *shard) error {
 	if s.wal == nil {
 		return nil
 	}
-	if err := s.wal.Sync(); err != nil {
-		return fmt.Errorf("stream: shard %d: %w", s.id, err)
+	size, err := e.writeShardCheckpoint(s)
+	if err == nil {
+		s.ckptBytes = size
+		s.checkpoints++
+	}
+	s.ckptAt = s.wal.Bytes() + e.dur.ckptInterval(s.ckptBytes)
+	return err
+}
+
+// writeShardCheckpoint is checkpointShard's durable sequence. It returns
+// the size of the checkpoint it installed.
+func (e *Engine) writeShardCheckpoint(s *shard) (int64, error) {
+	// Rotating puts every record the checkpoint covers in a closed
+	// segment, which TruncateThrough below can delete.
+	if err := s.wal.Rotate(); err != nil {
+		return 0, fmt.Errorf("stream: shard %d: %w", s.id, err)
 	}
 	seq := s.wal.LastSeq()
 	tmp := shardCkptName(s.id) + ".tmp"
 	f, err := e.dur.fs.Create(tmp)
 	if err != nil {
-		return fmt.Errorf("stream: shard %d: create checkpoint: %w", s.id, err)
+		return 0, fmt.Errorf("stream: shard %d: create checkpoint: %w", s.id, err)
 	}
 	var hdr [20]byte
 	copy(hdr[:8], shardCkptMagic[:])
@@ -399,21 +449,22 @@ func (e *Engine) checkpointShard(s *shard) error {
 		err = cerr
 	}
 	if err != nil {
-		return fmt.Errorf("stream: shard %d: write checkpoint: %w", s.id, err)
+		return 0, fmt.Errorf("stream: shard %d: write checkpoint: %w", s.id, err)
 	}
 	if err := e.dur.fs.Rename(tmp, shardCkptName(s.id)); err != nil {
-		return fmt.Errorf("stream: shard %d: install checkpoint: %w", s.id, err)
+		return 0, fmt.Errorf("stream: shard %d: install checkpoint: %w", s.id, err)
 	}
 	if err := s.wal.TruncateThrough(seq); err != nil {
-		return fmt.Errorf("stream: shard %d: %w", s.id, err)
+		return 0, fmt.Errorf("stream: shard %d: %w", s.id, err)
 	}
-	return nil
+	return w.off, nil
 }
 
 // Checkpoint is the durability barrier: every shard syncs its WAL,
-// writes a fresh engine checkpoint, and reclaims covered WAL segments.
-// When it returns nil, every point accepted before the call survives a
-// crash. Only valid on engines opened with a durable store.
+// writes a fresh engine checkpoint, and reclaims covered WAL segments,
+// as an automatic checkpoint does. When it returns nil, every point
+// accepted before the call survives a crash. Only valid on engines
+// opened with a durable store.
 func (e *Engine) Checkpoint(ctx context.Context) error {
 	if e.dur == nil {
 		return errors.New("stream: Checkpoint requires a durable store (use Open)")

@@ -48,6 +48,13 @@ type shard struct {
 	wal     *pager.WAL
 	walBuf  []byte
 	spDense vec.Vector
+
+	// Automatic checkpoint state (durable.go), owned like wal: the shard
+	// checkpoints itself once wal.Bytes() reaches ckptAt. ckptBytes is
+	// the size of its last checkpoint; checkpoints counts completed ones.
+	ckptAt      int64
+	ckptBytes   int64
+	checkpoints int64
 }
 
 // runShard is the worker loop: drain the mailbox until Close closes it,
@@ -98,6 +105,15 @@ func (e *Engine) applyOp(s *shard, o op) {
 			}
 		}
 	}
+	if s.wal != nil && s.wal.Bytes() >= s.ckptAt {
+		// The batch just applied took the WAL past the policy bound
+		// (durable.go): checkpoint inline and truncate the log. A failure
+		// keeps the old checkpoint and every segment, and checkpointShard
+		// has already moved the next attempt one interval on.
+		if err := e.checkpointShard(s); err != nil {
+			e.setErr(err)
+		}
+	}
 	if o.raiseT > 0 {
 		if err := s.eng.RaiseThreshold(o.raiseT); err != nil {
 			e.setErr(fmt.Errorf("stream: shard %d raise threshold: %w", s.id, err))
@@ -130,15 +146,15 @@ func reportShard(s *shard) shardReport {
 		shard: s.id,
 		sum:   core.Summary{CFs: leaves, Threshold: t.Threshold()},
 		stats: ShardStats{
-			Shard:         s.id,
-			Points:        t.Points(),
-			Subclusters:   t.LeafEntries(),
-			Nodes:         t.Nodes(),
-			Height:        t.Height(),
-			Threshold:     t.Threshold(),
-			Rebuilds:      counters.Rebuilds,
-			OutlierSpills: counters.OutlierSpills,
-			IO:            s.eng.Pager().Stats(),
+			Shard:       s.id,
+			Points:      t.Points(),
+			Subclusters: t.LeafEntries(),
+			Nodes:       t.Nodes(),
+			Height:      t.Height(),
+			Threshold:   t.Threshold(),
+			Rebuilds:    counters.Rebuilds,
+			Checkpoints: s.checkpoints,
+			IO:          s.eng.Pager().Stats(),
 		},
 	}
 }

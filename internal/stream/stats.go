@@ -4,18 +4,20 @@ import "birch/internal/pager"
 
 // ShardStats is the per-shard gauge set captured at report time on the
 // shard's owner goroutine: tree shape (depth, nodes, leaf subclusters),
-// threshold, rebuild and spill counters, and the shard pager's I/O
+// threshold, rebuild and checkpoint counters, and the shard pager's I/O
 // counters.
 type ShardStats struct {
-	Shard         int
-	Points        int64   // data points folded into this shard's tree
-	Subclusters   int     // leaf CF entries
-	Nodes         int     // tree nodes (== pages held)
-	Height        int     // tree depth
-	Threshold     float64 // current shard threshold T
-	Rebuilds      int     // threshold-raising rebuilds this shard has run
-	OutlierSpills int64   // always 0: shards run with outlier handling off
-	IO            pager.Stats
+	Shard       int
+	Points      int64   // data points folded into this shard's tree
+	Subclusters int     // leaf CF entries
+	Nodes       int     // tree nodes (== pages held)
+	Height      int     // tree depth
+	Threshold   float64 // current shard threshold T
+	Rebuilds    int     // threshold-raising rebuilds this shard has run
+	// Checkpoints counts the durable checkpoints this shard has completed,
+	// automatic and explicit (always 0 without a durable store).
+	Checkpoints int64
+	IO          pager.Stats
 }
 
 // Stats is a point-in-time view of the whole engine. The shard gauges are
