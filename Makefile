@@ -68,6 +68,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzSparseKernelParity -fuzztime $(FUZZTIME) ./internal/cf
 	$(GO) test -run '^$$' -fuzz FuzzStreamInsertClose -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/pager
+	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/server
 
 # Full benchmark harness: fixed-seed Phase 1 and pipeline workloads,
 # written to BENCH_phase1.json / BENCH_pipeline.json in the repo root.

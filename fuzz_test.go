@@ -2,6 +2,8 @@ package birch
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -26,8 +28,14 @@ func FuzzResumeSnapshot(f *testing.F) {
 	valid := buf.Bytes()
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
+	v2, err := os.ReadFile(filepath.Join("testdata", "snapshot-v2.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
 	f.Add([]byte("BIRCHSS1garbage"))
 	f.Add([]byte("BIRCHSS2garbage"))
+	f.Add([]byte("BIRCHSS3garbage"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

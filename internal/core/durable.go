@@ -10,30 +10,25 @@ package core
 // an engine that continues exactly where the checkpointed one stopped.
 //
 // Layout: a small engine section (estimator history, monotone counters,
-// pager stats, outlier CFs) framed by its own CRC-32C, followed by the
-// CF-tree checkpoint image (internal/cftree, self-validating). The tree
-// image is deliberately last: its reader buffers, so nothing may follow
-// it in the stream.
+// pager stats, outlier CFs), one CRC-32C section of the internal/cf
+// codec, followed by the CF-tree checkpoint image (internal/cftree,
+// self-validating). Both go through one cf.Writer and one cf.Reader.
+// The tree image is deliberately last: the reader buffers, so a caller
+// that hands ResumeEngine a plain io.Reader must put nothing after it.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"time"
 
 	"birch/internal/cf"
 	"birch/internal/cftree"
 	"birch/internal/pager"
-	"birch/internal/vec"
 )
 
 // engineMagic identifies an engine checkpoint, version 1.
 var engineMagic = [8]byte{'B', 'I', 'R', 'C', 'H', 'E', 'G', '1'}
-
-var engineCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 // engineMaxCount bounds history and outlier counts read from disk.
 const engineMaxCount = 1 << 24
@@ -46,76 +41,43 @@ var ErrEngineCheckpointCorrupt = errors.New("core: engine checkpoint corrupt")
 // WriteCheckpoint serializes the engine's complete durable state. It is
 // only valid before FinishPhase1: a finished engine has discarded its
 // outlier buffer and ended its data pass, so there is nothing left to
-// resume into.
+// resume into. w may be a *cf.Writer carrying earlier sections of the
+// same record.
 func (e *Engine) WriteCheckpoint(w io.Writer) error {
 	if e.finished {
 		return errors.New("core: WriteCheckpoint after FinishPhase1")
 	}
-	var crc uint32
-	var scratch [8]byte
-	werr := error(nil)
-	put := func(p []byte) {
-		if werr != nil {
-			return
-		}
-		crc = crc32.Update(crc, engineCRCTable, p)
-		_, werr = w.Write(p)
-	}
-	putU32 := func(v uint32) {
-		binary.LittleEndian.PutUint32(scratch[:4], v)
-		put(scratch[:4])
-	}
-	putU64 := func(v uint64) {
-		binary.LittleEndian.PutUint64(scratch[:], v)
-		put(scratch[:8])
-	}
-	putI64 := func(v int64) { putU64(uint64(v)) }
-	putF64 := func(v float64) { putU64(math.Float64bits(v)) }
-
-	put(engineMagic[:])
-	putU32(uint32(e.cfg.Dim))
-	putU32(uint32(e.cfg.Core))
+	cw := cf.NewWriter(w)
+	cw.Bytes(engineMagic[:])
+	cw.U32(uint32(e.cfg.Dim))
+	cw.U32(uint32(e.cfg.Core))
 
 	// Threshold estimator: totalN plus the rebuild history pairs.
-	putI64(e.est.totalN)
-	putU32(uint32(len(e.est.histN)))
+	cw.I64(e.est.totalN)
+	cw.U32(uint32(len(e.est.histN)))
 	for i := range e.est.histN {
-		putF64(e.est.histN[i])
-		putF64(e.est.histT[i])
+		cw.F64(e.est.histN[i])
+		cw.F64(e.est.histT[i])
 	}
 
-	// Monotone counters.
-	putI64(e.scanned.Load())
-	putI64(e.spills.Load())
-	putI64(e.rebuilds.Load())
-	putI64(e.discarded.Load())
-
-	// Pager accounting.
-	putI64(int64(e.pgr.DiskUsed()))
+	// Monotone counters, then the pager accounting.
 	st := e.pgr.Stats()
 	for _, v := range []int64{
+		e.scanned.Load(), e.spills.Load(), e.rebuilds.Load(), e.discarded.Load(),
+		int64(e.pgr.DiskUsed()),
 		st.PagesAllocated, st.PagesFreed, st.PageWrites, st.PageReads,
 		st.OutliersWritten, st.OutliersRead, st.Rebuilds, st.DatasetScans,
 	} {
-		putI64(v)
+		cw.I64(v)
 	}
 
 	// Outlier buffer (the simulated outlier disk's contents).
-	putU32(uint32(len(e.outlierBuf)))
+	cw.U32(uint32(len(e.outlierBuf)))
 	for i := range e.outlierBuf {
-		c := &e.outlierBuf[i]
-		putI64(c.N)
-		putF64(c.SS)
-		for _, v := range c.LS {
-			putF64(v)
-		}
+		cw.Row(&e.outlierBuf[i])
 	}
-
-	putU32(crc)
-	if werr != nil {
-		return fmt.Errorf("core: writing engine checkpoint: %w", werr)
-	}
-	return e.tree.WriteCheckpoint(w)
+	cw.Seal()
+	return e.tree.WriteCheckpoint(cw)
 }
 
 // ResumeEngine reconstructs an engine from a WriteCheckpoint stream
@@ -123,146 +85,74 @@ func (e *Engine) WriteCheckpoint(w io.Writer) error {
 // ThresholdKind, Memory/PageSize shape) the checkpoint was written
 // under. The resumed engine's future behaviour — threshold escalation,
 // spills, rebuilds, the final outlier resolution — is bit-identical to
-// the checkpointed engine's.
+// the checkpointed engine's. r may be a *cf.Reader positioned at the
+// engine section.
 func ResumeEngine(r io.Reader, cfg Config) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var crc uint32
-	var scratch [8]byte
-	get := func(p []byte) error {
-		if _, err := io.ReadFull(r, p); err != nil {
-			return fmt.Errorf("%w: short read: %v", ErrEngineCheckpointCorrupt, err)
-		}
-		crc = crc32.Update(crc, engineCRCTable, p)
-		return nil
-	}
-	getU32 := func() (uint32, error) {
-		if err := get(scratch[:4]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint32(scratch[:4]), nil
-	}
-	getU64 := func() (uint64, error) {
-		if err := get(scratch[:8]); err != nil {
-			return 0, err
-		}
-		return binary.LittleEndian.Uint64(scratch[:]), nil
-	}
-	getI64 := func() (int64, error) {
-		v, err := getU64()
-		return int64(v), err
-	}
-	getF64 := func() (float64, error) {
-		v, err := getU64()
-		return math.Float64frombits(v), err
-	}
+	d := cf.NewReader(r)
+	corrupt := func(err error) error { return fmt.Errorf("%w: %v", ErrEngineCheckpointCorrupt, err) }
 
 	var magic [8]byte
-	if err := get(magic[:]); err != nil {
-		return nil, err
+	d.Bytes(magic[:])
+	dim, kind := d.U32(), cf.CoreKind(d.U32())
+	if err := d.Err(); err != nil {
+		return nil, corrupt(err)
 	}
 	if magic != engineMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrEngineCheckpointCorrupt)
 	}
-	dim, err := getU32()
-	if err != nil {
-		return nil, err
-	}
 	if int(dim) != cfg.Dim {
 		return nil, fmt.Errorf("core: checkpoint dimension %d, config dimension %d", dim, cfg.Dim)
 	}
-	kind, err := getU32()
-	if err != nil {
-		return nil, err
-	}
-	if cf.CoreKind(kind) != cfg.Core {
-		return nil, fmt.Errorf("core: checkpoint core %v, config core %v", cf.CoreKind(kind), cfg.Core)
+	if kind != cfg.Core {
+		return nil, fmt.Errorf("core: checkpoint core %v, config core %v", kind, cfg.Core)
 	}
 
-	est := thresholdEstimator{dim: cfg.Dim}
-	if est.totalN, err = getI64(); err != nil {
-		return nil, err
-	}
-	histLen, err := getU32()
-	if err != nil {
-		return nil, err
+	est := thresholdEstimator{dim: cfg.Dim, totalN: d.I64()}
+	histLen := d.U32()
+	if err := d.Err(); err != nil {
+		return nil, corrupt(err)
 	}
 	if histLen > engineMaxCount {
 		return nil, fmt.Errorf("%w: implausible history length %d", ErrEngineCheckpointCorrupt, histLen)
 	}
-	for i := uint32(0); i < histLen; i++ {
-		hn, err := getF64()
-		if err != nil {
-			return nil, err
-		}
-		ht, err := getF64()
-		if err != nil {
-			return nil, err
-		}
-		est.histN = append(est.histN, hn)
-		est.histT = append(est.histT, ht)
+	for i := uint32(0); i < histLen && d.Err() == nil; i++ {
+		est.histN = append(est.histN, d.F64())
+		est.histT = append(est.histT, d.F64())
 	}
 
 	var counters [4]int64
 	for i := range counters {
-		if counters[i], err = getI64(); err != nil {
-			return nil, err
-		}
+		counters[i] = d.I64()
 	}
-
-	diskUsed, err := getI64()
-	if err != nil {
-		return nil, err
-	}
+	diskUsed := d.I64()
 	var pst pager.Stats
 	for _, dst := range []*int64{
 		&pst.PagesAllocated, &pst.PagesFreed, &pst.PageWrites, &pst.PageReads,
 		&pst.OutliersWritten, &pst.OutliersRead, &pst.Rebuilds, &pst.DatasetScans,
 	} {
-		if *dst, err = getI64(); err != nil {
-			return nil, err
-		}
+		*dst = d.I64()
 	}
 
-	outCount, err := getU32()
-	if err != nil {
-		return nil, err
+	outCount := d.U32()
+	if err := d.Err(); err != nil {
+		return nil, corrupt(err)
 	}
 	if outCount > engineMaxCount {
 		return nil, fmt.Errorf("%w: implausible outlier count %d", ErrEngineCheckpointCorrupt, outCount)
 	}
-	backend := cf.CoreFor(cfg.Core)
 	var outliers []cf.CF
 	for i := uint32(0); i < outCount; i++ {
-		n, err := getI64()
+		entry, err := d.Row(cfg.Core, cfg.Dim)
 		if err != nil {
-			return nil, err
-		}
-		ss, err := getF64()
-		if err != nil {
-			return nil, err
-		}
-		ls := vec.New(cfg.Dim)
-		for j := range ls {
-			if ls[j], err = getF64(); err != nil {
-				return nil, err
-			}
-		}
-		entry, err := backend.FromComponents(n, ls, ss)
-		if err != nil {
-			return nil, fmt.Errorf("%w: invalid outlier CF: %v", ErrEngineCheckpointCorrupt, err)
+			return nil, corrupt(err)
 		}
 		outliers = append(outliers, entry)
 	}
-
-	sum := crc
-	stored, err := getU32()
-	if err != nil {
-		return nil, err
-	}
-	if stored != sum {
-		return nil, fmt.Errorf("%w: CRC mismatch (stored %08x, computed %08x)", ErrEngineCheckpointCorrupt, stored, sum)
+	if err := d.Check(); err != nil {
+		return nil, corrupt(err)
 	}
 
 	// The outlier buffer and the disk accounting must agree: every
@@ -276,7 +166,7 @@ func ResumeEngine(r io.Reader, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	tree, err := cftree.ReadCheckpoint(r, treeParams(cfg), pgr)
+	tree, err := cftree.ReadCheckpoint(d, treeParams(cfg), pgr)
 	if err != nil {
 		return nil, err
 	}

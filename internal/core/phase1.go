@@ -108,6 +108,9 @@ func (e *Engine) Pager() *pager.Pager { return e.pgr }
 // Tree exposes the current CF tree (read-only use).
 func (e *Engine) Tree() *cftree.Tree { return e.tree }
 
+// Outliers exposes the entries on the outlier disk (read-only use).
+func (e *Engine) Outliers() []cf.CF { return e.outlierBuf }
+
 // Add streams one data point into Phase 1. The point is staged through
 // the engine's scratch CF, so the absorb path — the steady state of a
 // converged tree — performs zero heap allocations.
@@ -214,14 +217,7 @@ func (e *Engine) AddCF(ent cf.CF) error {
 //
 //birchlint:coldpath
 func (e *Engine) rebuild() error {
-	curT := e.tree.Threshold()
-	newT := e.est.next(e.tree, curT, e.tree.Points())
-	return e.rebuildAt(newT)
-}
-
-// rebuildAt rebuilds the tree at threshold newT, spilling potential
-// outliers and re-absorbing previously spilled entries that now fit.
-func (e *Engine) rebuildAt(newT float64) error {
+	newT := e.est.next(e.tree, e.tree.Threshold(), e.tree.Points())
 	var isOutlier func(*cf.CF) bool
 	if e.cfg.OutlierHandling {
 		if st := e.tree.Stats(); st.Entries > 0 {
@@ -333,20 +329,4 @@ func (e *Engine) CounterStats() Phase1Stats {
 		OutlierSpills: e.spills.Load(),
 		OutliersFinal: e.discarded.Load(),
 	}
-}
-
-// RaiseThreshold rebuilds the tree at the (strictly larger) threshold
-// newT, skipping the usual growth estimator. The streaming layer uses it
-// to propagate a globally-agreed threshold back into shard engines so
-// their trees re-compact; by the Reducibility Theorem the rebuilt tree is
-// no larger than the current one. A newT at or below the current
-// threshold is a no-op.
-func (e *Engine) RaiseThreshold(newT float64) error {
-	if e.finished {
-		return fmt.Errorf("core: RaiseThreshold after FinishPhase1")
-	}
-	if newT <= e.tree.Threshold() {
-		return nil
-	}
-	return e.rebuildAt(newT)
 }

@@ -17,8 +17,8 @@ const cfPkgPath = "birch/internal/cf"
 // summary: N points, their linear sum, their square sum — mutually
 // consistent. A stray `c.N++` or `c.LS[i] = x` outside the cf package
 // breaks that consistency invisibly; all mutation must flow through
-// AddPoint/Merge/Unmerge (and construction through FromPoint/
-// FromComponents), which preserve it. Reading fields is fine; the pass
+// AddPoint/Merge/Unmerge (and construction through FromPoint or the
+// row codec's validating decoders), which preserve it. Reading fields is fine; the pass
 // flags assignments, compound assignments, ++/--, element writes through
 // LS, and taking a field's address (which launders a later write).
 //
@@ -44,7 +44,7 @@ func (p CFMutate) Run(m *Module, pkg *Package) []Diagnostic {
 		out = append(out, Diagnostic{
 			Pos:  m.Fset.Position(pos),
 			Pass: p.Name(),
-			Message: fmt.Sprintf("%s of cf.CF field %s outside internal/cf; use AddPoint/Merge/Unmerge (or cf.FromComponents) so additivity invariants hold",
+			Message: fmt.Sprintf("%s of cf.CF field %s outside internal/cf; use AddPoint/Merge/Unmerge (or the cf row codec) so additivity invariants hold",
 				how, field),
 		})
 	}

@@ -24,8 +24,8 @@ package server
 //	MsgClassifyResult  u32 count, count × (u32 cluster, u64 distBits)
 //	MsgAck             u64 accepted
 //	MsgSummaries       u8 coreKind, u32 dim, u32 shards, then per shard:
-//	                   u64 thresholdBits, u32 cfs, per CF:
-//	                   u64 N, dim × u64 comps, u64 scalar
+//	                   u64 thresholdBits, u32 cfs, cfs rows of the
+//	                   internal/cf codec (u64 N, u64 scalar, dim × u64)
 //	MsgError           UTF-8 message bytes
 //	MsgSparsePoints    u32 count, u32 dim, then per point:
 //	                   u32 nnz, nnz × u32 idx, nnz × u64 valBits
@@ -37,10 +37,13 @@ package server
 // inserting them is bit-identical to inserting their densifications
 // (the sparse insert path's contract, internal/cf/sparse.go).
 //
-// MsgSummaries carries the *raw storage slots* of each CF — (N, LS, SS)
-// under the classic core, (N, μ, S) under BETULA — tagged with the core
-// kind; decode goes through cf.Core.FromComponents, the sanctioned
-// validation gate for untrusted summaries.
+// MsgSummaries carries the *raw storage slots* of each CF — (N, SS, LS)
+// under the classic core, (N, S, μ) under BETULA — tagged with the core
+// kind, in the same row layout as checkpoints and snapshots; decode goes
+// through cf.DecodeRows, the validation gate for untrusted summaries,
+// which bounds every count by the bytes left before it allocates. Type
+// 0x04 carried an older (N, LS, SS) row order and is retired, so a peer
+// still speaking it gets ErrFrameType instead of misread CFs.
 //
 // The encode/decode pairs on the batch hot paths are zero-allocation
 // against reused buffers (append-with-assign-back only); the AllocsPerRun
@@ -59,14 +62,16 @@ import (
 	"birch/internal/vec"
 )
 
-// Message types. The zero value is deliberately invalid.
+// Message types. The zero value is deliberately invalid, and so is the
+// retired summaries type.
 const (
 	MsgPoints         byte = 0x01
 	MsgClassifyResult byte = 0x02
 	MsgAck            byte = 0x03
-	MsgSummaries      byte = 0x04
+	msgOldSummaries   byte = 0x04 // retired: (N, LS, SS) rows
 	MsgError          byte = 0x05
 	MsgSparsePoints   byte = 0x06
+	MsgSummaries      byte = 0x07
 )
 
 // frameHeader is the fixed byte overhead per frame: len + crc + type.
@@ -304,11 +309,7 @@ func AppendSummariesFrame(dst []byte, kind cf.CoreKind, dim int, sums []core.Sum
 			if len(c.LS) != dim {
 				return dst[:start], fmt.Errorf("server: summary %d CF %d dimension %d, frame dimension %d", si, ci, len(c.LS), dim)
 			}
-			dst = appendU64(dst, uint64(c.N))
-			for _, v := range c.LS {
-				dst = appendU64(dst, math.Float64bits(v))
-			}
-			dst = appendU64(dst, math.Float64bits(c.SS))
+			dst = cf.AppendRow(dst, c)
 		}
 	}
 	return finishFrame(dst, start), nil
@@ -332,7 +333,7 @@ func DecodeFrame(frame []byte) (typ byte, payload []byte, err error) {
 		return 0, nil, ErrFrameCRC
 	}
 	typ = body[0]
-	if typ < MsgPoints || typ > MsgSparsePoints {
+	if typ < MsgPoints || typ > MsgSummaries || typ == msgOldSummaries {
 		return 0, nil, ErrFrameType
 	}
 	return typ, body[1:], nil
@@ -410,9 +411,11 @@ func DecodeAck(payload []byte) (int64, error) {
 }
 
 // DecodeSummaries decodes a MsgSummaries payload, materializing every CF
-// through the declared core's FromComponents — the sanctioned validation
-// gate for summaries from untrusted bytes. This is the coordinator's
-// pull path, not a per-point hot path, so it allocates its results.
+// through cf.DecodeRows under the declared core — the validation gate
+// for summaries from untrusted bytes. Every count is checked against the
+// bytes left before anything is allocated from it. This is the
+// coordinator's pull path, not a per-point hot path, so it allocates its
+// results.
 func DecodeSummaries(payload []byte) (cf.CoreKind, int, []core.Summary, error) {
 	if len(payload) < 9 {
 		return 0, 0, nil, ErrPayloadShape
@@ -423,43 +426,28 @@ func DecodeSummaries(payload []byte) (cf.CoreKind, int, []core.Summary, error) {
 	}
 	dim := int(binary.LittleEndian.Uint32(payload[1:]))
 	shards := int(binary.LittleEndian.Uint32(payload[5:]))
-	if dim <= 0 || shards < 0 {
+	rest := payload[9:]
+	// Each shard takes at least its 12-byte threshold and count.
+	if dim <= 0 || shards > len(rest)/12 {
 		return 0, 0, nil, ErrPayloadShape
 	}
-	backend := cf.CoreFor(kind)
-	off := 9
-	sums := make([]core.Summary, 0, shards)
-	for s := 0; s < shards; s++ {
-		if len(payload) < off+12 {
+	sums := make([]core.Summary, shards)
+	for s := range sums {
+		if len(rest) < 12 {
 			return 0, 0, nil, ErrPayloadShape
 		}
-		threshold := math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-		n := int(binary.LittleEndian.Uint32(payload[off+8:]))
-		off += 12
-		cfSize := 8 + dim*8 + 8
-		if n < 0 || len(payload) < off+n*cfSize {
+		sums[s].Threshold = math.Float64frombits(binary.LittleEndian.Uint64(rest))
+		n := int(binary.LittleEndian.Uint32(rest[8:]))
+		cfs, tail, err := cf.DecodeRows(rest[12:], kind, dim, n)
+		if errors.Is(err, cf.ErrTruncated) {
 			return 0, 0, nil, ErrPayloadShape
 		}
-		sum := core.Summary{Threshold: threshold, CFs: make([]cf.CF, 0, n)}
-		for i := 0; i < n; i++ {
-			cn := int64(binary.LittleEndian.Uint64(payload[off:]))
-			off += 8
-			comps := vec.New(dim)
-			for d := 0; d < dim; d++ {
-				comps[d] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-				off += 8
-			}
-			scalar := math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
-			off += 8
-			c, err := backend.FromComponents(cn, comps, scalar)
-			if err != nil {
-				return 0, 0, nil, fmt.Errorf("server: summaries frame shard %d CF %d: %w", s, i, err)
-			}
-			sum.CFs = append(sum.CFs, c)
+		if err != nil {
+			return 0, 0, nil, fmt.Errorf("server: summaries frame shard %d: %w", s, err)
 		}
-		sums = append(sums, sum)
+		sums[s].CFs, rest = cfs, tail
 	}
-	if off != len(payload) {
+	if len(rest) != 0 {
 		return 0, 0, nil, ErrPayloadShape
 	}
 	return kind, dim, sums, nil

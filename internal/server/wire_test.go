@@ -2,6 +2,8 @@ package server
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 
@@ -189,34 +191,92 @@ func TestFrameCorruptionRejected(t *testing.T) {
 	}
 }
 
-// FuzzFrameDecode throws arbitrary bytes at the frame and payload
-// decoders: they must reject or parse, never panic, and anything
-// DecodeFrame accepts must be re-encodable to the identical bytes for
-// point frames (the codec is canonical).
+// TestDecodeSummariesBoundsCounts: a declared count is checked against
+// the bytes left before anything is allocated from it. Each payload here
+// once ended in an unrecoverable out-of-memory crash: a 9-byte payload
+// declaring 2³²−1 shards, and a CF count that, multiplied by a row size
+// near 2³⁵ bytes, overflowed past the length check.
+func TestDecodeSummariesBoundsCounts(t *testing.T) {
+	header := func(kind cf.CoreKind, dim, shards uint32) []byte {
+		b := []byte{byte(kind)}
+		b = binary.LittleEndian.AppendUint32(b, dim)
+		return binary.LittleEndian.AppendUint32(b, shards)
+	}
+	shard := func(b []byte, cfs uint32) []byte {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(1))
+		return binary.LittleEndian.AppendUint32(b, cfs)
+	}
+	for _, tc := range []struct {
+		name    string
+		payload []byte
+	}{
+		{"shard count past the payload", header(cf.CoreClassic, 1, math.MaxUint32)},
+		{"row bytes overflow int", shard(header(cf.CoreClassic, math.MaxUint32, 1), math.MaxUint32)},
+		{"row bytes overflow int, betula", shard(header(cf.CoreBETULA, math.MaxUint32, 1), 1<<28)},
+		{"one CF too many", append(shard(header(cf.CoreClassic, 2, 1), 2), make([]byte, 32)...)},
+	} {
+		if _, _, _, err := DecodeSummaries(tc.payload); !errors.Is(err, ErrPayloadShape) {
+			t.Errorf("%s: err = %v, want ErrPayloadShape", tc.name, err)
+		}
+	}
+}
+
+// TestRetiredSummariesTypeRejected: type 0x04 carried (N, LS, SS) rows,
+// so a peer still sending it must get ErrFrameType, never misread CFs.
+func TestRetiredSummariesTypeRejected(t *testing.T) {
+	if MsgSummaries == 0x04 {
+		t.Fatal("MsgSummaries reuses the retired type 0x04")
+	}
+	sum := core.Summary{Threshold: 1, CFs: []cf.CF{cf.FromPoint(vec.Vector{1, 2})}}
+	frame, err := AppendSummariesFrame(nil, cf.CoreClassic, 2, []core.Summary{sum})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := buildFrame(0x04, frame[frameHeader:])
+	if _, _, err := DecodeFrame(old); !errors.Is(err, ErrFrameType) {
+		t.Fatalf("0x04 frame: err = %v, want ErrFrameType", err)
+	}
+}
+
+// buildFrame frames payload under type typ, valid CRC and all.
+func buildFrame(typ byte, payload []byte) []byte {
+	dst, start := beginFrame(nil, typ)
+	return finishFrame(append(dst, payload...), start)
+}
+
+// FuzzFrameDecode drives the frame and payload decoders with arbitrary
+// payloads under a fuzzed type byte. The target frames them itself, so
+// the CRC holds and the payload decoders see every input. They must
+// reject or parse, never panic, and an accepted point frame must
+// re-encode to the identical bytes (the codec is canonical).
 func FuzzFrameDecode(f *testing.F) {
-	seed, _ := AppendPointsFrame(nil, testPoints(3, 2), 2)
-	f.Add(seed)
-	f.Add(AppendClassifyResultFrame(nil, []int{1}, []float64{2}))
-	f.Add(AppendAckFrame(nil, 7))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
+	points, _ := AppendPointsFrame(nil, testPoints(3, 2), 2)
+	f.Add(MsgPoints, points[frameHeader:])
+	f.Add(MsgClassifyResult, AppendClassifyResultFrame(nil, []int{1}, []float64{2})[frameHeader:])
+	f.Add(MsgAck, AppendAckFrame(nil, 7)[frameHeader:])
+	sums := []core.Summary{{Threshold: 0.5, CFs: []cf.CF{cf.FromPoint(vec.Vector{1, 2}), cf.FromPoint(vec.Vector{3, 4})}}}
+	summaries, _ := AppendSummariesFrame(nil, cf.CoreClassic, 2, sums)
+	f.Add(MsgSummaries, summaries[frameHeader:])
+	f.Add(byte(0), []byte{})
+	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
+		if len(payload) > maxFramePayload {
+			return
+		}
+		data := buildFrame(typ, payload)
 		typ, payload, err := DecodeFrame(data)
 		if err != nil {
 			return
 		}
 		switch typ {
 		case MsgPoints:
-			if len(payload) >= 8 {
-				backing, pts, err := DecodePointsInto(payload, 2, nil, nil)
-				if err == nil {
-					re, err := AppendPointsFrame(nil, pts, 2)
-					if err != nil {
-						t.Fatalf("re-encode of accepted frame failed: %v", err)
-					}
-					if string(re) != string(data) {
-						t.Fatalf("points frame not canonical: %d vs %d bytes", len(re), len(data))
-					}
-					_ = backing
+			_, pts, err := DecodePointsInto(payload, 2, nil, nil)
+			if err == nil {
+				re, err := AppendPointsFrame(nil, pts, 2)
+				if err != nil {
+					t.Fatalf("re-encode of accepted frame failed: %v", err)
+				}
+				if string(re) != string(data) {
+					t.Fatalf("points frame not canonical: %d vs %d bytes", len(re), len(data))
 				}
 			}
 		case MsgClassifyResult:
@@ -225,6 +285,8 @@ func FuzzFrameDecode(f *testing.F) {
 			DecodeAck(payload)
 		case MsgSummaries:
 			DecodeSummaries(payload)
+		case MsgSparsePoints:
+			DecodeSparsePointsInto(payload, 4, nil, nil, nil)
 		}
 	})
 }

@@ -28,25 +28,14 @@ func (e *Engine) runCompactor() {
 	}
 }
 
-// compact is one background compaction round: snapshot the shards,
-// publish the merged result, and optionally propagate the merged
-// threshold back so shard trees rebuild coarser and stay within their
-// memory slices.
+// compact is one background compaction round: snapshot the shards and
+// publish the merged result.
 func (e *Engine) compact() {
 	reports, err := e.syncShards(context.Background())
 	if err != nil {
 		return // engine closing; Close publishes the final snapshot
 	}
-	snap := e.publish(reports)
-	if snap == nil || !e.opts.PropagateThreshold {
-		return
-	}
-	for i, s := range e.shards {
-		if snap.Threshold > reports[i].sum.Threshold {
-			// Advisory: skip rather than stall behind a backed-up shard.
-			e.trySend(s, op{raiseT: snap.Threshold})
-		}
-	}
+	e.publish(reports)
 }
 
 // publish merges the shard reports into a fresh immutable Snapshot and

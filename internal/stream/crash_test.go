@@ -108,7 +108,6 @@ type killer struct {
 	r         *rand.Rand
 	site      killSite
 	after     bool // kill just after the site's operation, not just before
-	skip      int  // matching operations to let pass once armed
 	armed     bool
 	dead      bool
 	installed []uint64 // per shard
@@ -130,10 +129,6 @@ func (k *killer) hook(ev fsEvent) error {
 		}
 	}
 	if !k.armed || !k.at(ev) {
-		return nil
-	}
-	if k.skip > 0 {
-		k.skip--
 		return nil
 	}
 	pend := k.disk.PendingBytes()
@@ -185,13 +180,11 @@ func runCrashTrial(t *testing.T, kind cf.CoreKind, seed int64, site killSite) {
 	cfg := durableCfg(kind, W)
 	r := rand.New(rand.NewSource(seed))
 	disk := faultfs.NewDisk()
+	// A checkpoint reaches its temp file in one buffered write per 4 KiB
+	// (one write for this battery's trees), so a tmp-write kill tears the
+	// first such write after arming at a random byte.
 	kill := &killer{disk: disk, r: rand.New(rand.NewSource(^seed)), site: site,
 		after: seed%2 == 1, installed: make([]uint64, W)}
-	if site == killTmpWrite {
-		// A checkpoint reaches its file in some two dozen writes (header,
-		// engine fields, buffered tree pages); tear a random one of them.
-		kill.skip = r.Intn(24)
-	}
 	hfs := &hookFS{disk: disk, hook: kill.hook}
 	// SyncEvery=0 is the adversarial setting: nothing is durable except
 	// what rotation, checkpoints and Close explicitly sync, so the kill

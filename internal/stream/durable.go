@@ -42,11 +42,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 	"runtime"
 
+	"birch/internal/cf"
 	"birch/internal/core"
 	"birch/internal/pager"
 	"birch/internal/vec"
@@ -124,8 +124,6 @@ func (ds *durableState) ckptInterval(ckptBytes int64) int64 {
 }
 
 var manifestMagic = [8]byte{'B', 'I', 'R', 'C', 'H', 'M', 'F', '1'}
-
-var durCRCTable = crc32.MakeTable(crc32.Castagnoli)
 
 const manifestName = "MANIFEST"
 
@@ -355,40 +353,17 @@ func recoverShard(ds *durableState, i int, shardCfg core.Config, s *shard) (Shar
 	return sr, nil
 }
 
-// readShardCheckpoint loads shard-<i>.ckpt: the covered WAL sequence
-// number plus the embedded engine checkpoint. It also returns the
-// file's size, which sets the shard's automatic checkpoint interval.
+// readShardCheckpoint loads shard-<i>.ckpt: a header section holding
+// the covered WAL sequence number, then the engine checkpoint, read
+// through one cf.Reader. It also returns the file's size, which sets the
+// shard's automatic checkpoint interval.
 func readShardCheckpoint(fs pager.FS, i int, shardCfg core.Config) (*core.Engine, uint64, int64, error) {
 	name := shardCkptName(i)
 	f, err := fs.Open(name)
 	if err != nil {
 		return nil, 0, 0, fmt.Errorf("stream: open %s: %w", name, err)
 	}
-	size, err := f.Size()
-	if err != nil {
-		if cerr := f.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		return nil, 0, 0, fmt.Errorf("stream: size %s: %w", name, err)
-	}
-	r := io.NewSectionReader(f, 0, size)
-	var hdr [20]byte // magic(8) + seq(8) + crc(4)
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if cerr := f.Close(); cerr != nil {
-			err = errors.Join(err, cerr)
-		}
-		return nil, 0, 0, fmt.Errorf("stream: %s header: %w", name, err)
-	}
-	if [8]byte(hdr[:8]) != shardCkptMagic {
-		_ = f.Close()
-		return nil, 0, 0, fmt.Errorf("stream: %s: bad magic", name)
-	}
-	seq := binary.LittleEndian.Uint64(hdr[8:16])
-	if crc32.Checksum(hdr[:16], durCRCTable) != binary.LittleEndian.Uint32(hdr[16:20]) {
-		_ = f.Close()
-		return nil, 0, 0, fmt.Errorf("stream: %s: header CRC mismatch", name)
-	}
-	eng, err := core.ResumeEngine(r, shardCfg)
+	eng, seq, size, err := resumeShardFile(f, shardCfg)
 	if cerr := f.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
@@ -396,6 +371,26 @@ func readShardCheckpoint(fs pager.FS, i int, shardCfg core.Config) (*core.Engine
 		return nil, 0, 0, fmt.Errorf("stream: %s: %w", name, err)
 	}
 	return eng, seq, size, nil
+}
+
+// resumeShardFile is readShardCheckpoint's body on the open file.
+func resumeShardFile(f pager.File, shardCfg core.Config) (*core.Engine, uint64, int64, error) {
+	size, err := f.Size()
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	d := cf.NewReader(io.NewSectionReader(f, 0, size))
+	var magic [8]byte
+	d.Bytes(magic[:])
+	seq := d.U64()
+	if err := d.Check(); err != nil {
+		return nil, 0, 0, fmt.Errorf("header: %w", err)
+	}
+	if magic != shardCkptMagic {
+		return nil, 0, 0, errors.New("bad magic")
+	}
+	eng, err := core.ResumeEngine(d, shardCfg)
+	return eng, seq, size, err
 }
 
 // checkpointShard runs on the shard owner (worker loop, or the closing
@@ -433,15 +428,12 @@ func (e *Engine) writeShardCheckpoint(s *shard) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("stream: shard %d: create checkpoint: %w", s.id, err)
 	}
-	var hdr [20]byte
-	copy(hdr[:8], shardCkptMagic[:])
-	binary.LittleEndian.PutUint64(hdr[8:16], seq)
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.Checksum(hdr[:16], durCRCTable))
 	w := &fileWriter{f: f}
-	_, err = w.Write(hdr[:])
-	if err == nil {
-		err = s.eng.WriteCheckpoint(w)
-	}
+	cw := cf.NewWriter(w)
+	cw.Bytes(shardCkptMagic[:])
+	cw.U64(seq)
+	cw.Seal()
+	err = s.eng.WriteCheckpoint(cw)
 	if err == nil {
 		err = f.Sync()
 	}
@@ -558,23 +550,24 @@ func decodeBatchHeader(payload []byte, dim int) (int, error) {
 	return count, nil
 }
 
-// writeManifest initializes a fresh durable store's identity record.
+// writeManifest initializes a fresh durable store's identity record,
+// one 24-byte cf codec section.
 func writeManifest(fs pager.FS, cfg core.Config, shards int) error {
-	var buf [28]byte
-	copy(buf[:8], manifestMagic[:])
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(shards))
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(cfg.Dim))
-	buf[16] = byte(cfg.Core)
-	buf[17] = byte(cfg.Metric)
-	buf[18] = byte(cfg.ThresholdKind)
-	buf[19] = 0
-	binary.LittleEndian.PutUint32(buf[20:24], crc32.Checksum(buf[:20], durCRCTable))
 	tmp := manifestName + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("stream: create manifest: %w", err)
 	}
-	_, err = f.WriteAt(buf[:24], 0)
+	cw := cf.NewWriter(&fileWriter{f: f})
+	cw.Bytes(manifestMagic[:])
+	cw.U32(uint32(shards))
+	cw.U32(uint32(cfg.Dim))
+	cw.U8(byte(cfg.Core))
+	cw.U8(byte(cfg.Metric))
+	cw.U8(byte(cfg.ThresholdKind))
+	cw.U8(0) // reserved
+	cw.Seal()
+	err = cw.Flush()
 	if err == nil {
 		err = f.Sync()
 	}
@@ -611,36 +604,36 @@ func readManifest(fs pager.FS, cfg core.Config) (int, bool, error) {
 	if err != nil {
 		return 0, false, fmt.Errorf("stream: open manifest: %w", err)
 	}
-	var buf [24]byte
-	_, err = f.ReadAt(buf[:], 0)
+	d := cf.NewReader(io.NewSectionReader(f, 0, 24))
+	var magic [8]byte
+	d.Bytes(magic[:])
+	shards, dim := int(d.U32()), int(d.U32())
+	coreB, metricB, tkindB := d.U8(), d.U8(), d.U8()
+	d.U8() // reserved
+	err = d.Check()
 	if cerr := f.Close(); cerr != nil && err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return 0, false, fmt.Errorf("stream: read manifest: %w", err)
 	}
-	if [8]byte(buf[:8]) != manifestMagic {
+	if magic != manifestMagic {
 		return 0, false, errors.New("stream: manifest: bad magic")
 	}
-	if crc32.Checksum(buf[:20], durCRCTable) != binary.LittleEndian.Uint32(buf[20:24]) {
-		return 0, false, errors.New("stream: manifest: CRC mismatch")
-	}
-	shards := int(binary.LittleEndian.Uint32(buf[8:12]))
-	dim := int(binary.LittleEndian.Uint32(buf[12:16]))
 	if shards <= 0 || shards > 1<<16 {
 		return 0, false, fmt.Errorf("stream: manifest: implausible shard count %d", shards)
 	}
 	if dim != cfg.Dim {
 		return 0, false, fmt.Errorf("stream: store dimension %d, config dimension %d", dim, cfg.Dim)
 	}
-	if buf[16] != byte(cfg.Core) {
-		return 0, false, fmt.Errorf("stream: store core %d, config core %d", buf[16], byte(cfg.Core))
+	if coreB != byte(cfg.Core) {
+		return 0, false, fmt.Errorf("stream: store core %d, config core %d", coreB, byte(cfg.Core))
 	}
-	if buf[17] != byte(cfg.Metric) {
-		return 0, false, fmt.Errorf("stream: store metric %d, config metric %d", buf[17], byte(cfg.Metric))
+	if metricB != byte(cfg.Metric) {
+		return 0, false, fmt.Errorf("stream: store metric %d, config metric %d", metricB, byte(cfg.Metric))
 	}
-	if buf[18] != byte(cfg.ThresholdKind) {
-		return 0, false, fmt.Errorf("stream: store threshold kind %d, config threshold kind %d", buf[18], byte(cfg.ThresholdKind))
+	if tkindB != byte(cfg.ThresholdKind) {
+		return 0, false, fmt.Errorf("stream: store threshold kind %d, config threshold kind %d", tkindB, byte(cfg.ThresholdKind))
 	}
 	return shards, true, nil
 }

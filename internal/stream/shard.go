@@ -11,15 +11,14 @@ import (
 
 // op is one mailbox message. Exactly one of the fields is meaningful per
 // message; routing everything through the mailbox is what serializes
-// control operations (sync, check, ckpt, raiseT) with data operations
-// (pts) on the shard's single owner goroutine.
+// control operations (sync, check, ckpt) with data operations (pts) on
+// the shard's single owner goroutine.
 type op struct {
-	pts    []vec.Vector       // dense points to insert
-	sps    []vec.Sparse       // sparse points to insert
-	sync   chan<- shardReport // request an owner-built summary report
-	check  chan<- error       // request a tree invariant check
-	ckpt   chan<- error       // request a durable checkpoint (durable.go)
-	raiseT float64            // >0: raise the shard threshold (advisory)
+	pts   []vec.Vector       // dense points to insert
+	sps   []vec.Sparse       // sparse points to insert
+	sync  chan<- shardReport // request an owner-built summary report
+	check chan<- error       // request a tree invariant check
+	ckpt  chan<- error       // request a durable checkpoint (durable.go)
 }
 
 // shardReport is the owner-built, self-contained view of one shard: a
@@ -112,11 +111,6 @@ func (e *Engine) applyOp(s *shard, o op) {
 		// has already moved the next attempt one interval on.
 		if err := e.checkpointShard(s); err != nil {
 			e.setErr(err)
-		}
-	}
-	if o.raiseT > 0 {
-		if err := s.eng.RaiseThreshold(o.raiseT); err != nil {
-			e.setErr(fmt.Errorf("stream: shard %d raise threshold: %w", s.id, err))
 		}
 	}
 	if o.check != nil {

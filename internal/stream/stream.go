@@ -16,8 +16,8 @@
 //
 //   - Each shard's core.Engine and CF tree are touched ONLY by that
 //     shard's worker goroutine. All cross-goroutine requests (inserts,
-//     summary snapshots, threshold raises, invariant checks) travel
-//     through the shard's mailbox, so they serialize with data ops.
+//     summary snapshots, invariant checks, checkpoints) travel through
+//     the shard's mailbox, so they serialize with data ops.
 //   - A published *Snapshot is immutable: every CF and vector in it is a
 //     clone taken on the owning worker (leaf CFs) or built fresh by the
 //     compactor (merged subclusters, cluster centroids). Readers hold it
@@ -69,11 +69,6 @@ type Options struct {
 	// merges the shard summaries and republishes the global snapshot.
 	// 0 disables the timer; Flush and Close still publish.
 	CompactInterval time.Duration
-	// PropagateThreshold lets the periodic compactor raise each shard's
-	// threshold to the merged tree's threshold, rebuilding shard trees
-	// coarser so they stay compact within their memory slices. Off by
-	// default: propagation trades per-shard granularity for memory.
-	PropagateThreshold bool
 }
 
 // Engine is a thread-safe streaming BIRCH front end. Writers fan points
@@ -261,23 +256,6 @@ func (e *Engine) send(ctx context.Context, s *shard, o op) error {
 		return ctx.Err()
 	case <-e.quit:
 		return ErrClosed
-	}
-}
-
-// trySend is send without blocking: it delivers o only if the mailbox has
-// room right now. Used by the compactor for advisory ops (threshold
-// raises) that must never stall behind a backed-up shard.
-func (e *Engine) trySend(s *shard, o op) bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	if e.closed {
-		return false
-	}
-	select {
-	case s.mail <- o:
-		return true
-	default:
-		return false
 	}
 }
 

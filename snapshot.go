@@ -1,12 +1,13 @@
 package birch
 
 // Snapshot persistence: a Clusterer's Phase 1 state is, by construction,
-// just its leaf-entry CF summaries plus the threshold that produced them
-// — a few kilobytes regardless of how many points have streamed through.
-// WriteSnapshot serializes that state; ResumeSnapshot reconstructs a
-// Clusterer that continues absorbing points where the old one stopped.
-// This is what makes BIRCH practical for long-running ingestion: the
-// checkpoint cost is O(tree), never O(data).
+// just its leaf-entry CF summaries, the entries parked on the outlier
+// disk and the threshold that produced them — a few kilobytes regardless
+// of how many points have streamed through. WriteSnapshot serializes
+// that state; ResumeSnapshot reconstructs a Clusterer that continues
+// absorbing points where the old one stopped. This is what makes BIRCH
+// practical for long-running ingestion: the checkpoint cost is O(tree),
+// never O(data).
 //
 // A snapshot stores summaries only, so a resumed Clusterer cannot run
 // Phase 4 over points that streamed through before the checkpoint;
@@ -14,8 +15,6 @@ package birch
 // InsertCF.
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -23,79 +22,81 @@ import (
 
 	"birch/internal/cf"
 	"birch/internal/core"
-	"birch/internal/vec"
 )
 
-// snapshotMagic identifies the format; the version guards against layout
-// changes. Version 2 added a CF-core tag byte after the magic: a snapshot
-// of BETULA (N, μ, S) components must never be decoded as a classic
-// (N, LS, SS) triple — the bytes would parse but every statistic derived
-// from them would be silently wrong. Version 1 snapshots predate the
-// backend choice and are accepted as classic.
-var snapshotMagic = [8]byte{'B', 'I', 'R', 'C', 'H', 'S', 'S', '2'}
-
-// snapshotMagicV1 is the pre-core-tag format, read-compatible as classic.
-var snapshotMagicV1 = [8]byte{'B', 'I', 'R', 'C', 'H', 'S', 'S', '1'}
+// Snapshot format versions, one magic each. Every version writes its
+// rows in the internal/cf codec layout (N, SS, LS — under BETULA the
+// same slots carry N, S, μ):
+//
+//	v1  magic, u64 dim, f64 threshold, u64 count, count rows
+//	v2  v1 plus a CF-core tag byte after the magic
+//	v3  v2 plus u64 count and rows of the outlier-disk entries, then a
+//	    CRC-32C trailer over every byte before it
+//
+// The core tag exists because a snapshot of BETULA (N, μ, S) components
+// must never be decoded as a classic (N, LS, SS) triple — the bytes
+// would parse but every statistic derived from them would be silently
+// wrong. v1 snapshots predate the backend choice and read as classic.
+// WriteSnapshot writes v3; ResumeSnapshot reads all three.
+var (
+	snapshotMagic   = [8]byte{'B', 'I', 'R', 'C', 'H', 'S', 'S', '3'}
+	snapshotMagicV2 = [8]byte{'B', 'I', 'R', 'C', 'H', 'S', 'S', '2'}
+	snapshotMagicV1 = [8]byte{'B', 'I', 'R', 'C', 'H', 'S', 'S', '1'}
+)
 
 // WriteSnapshot serializes the Clusterer's current Phase 1 state: the
-// dimensionality, the current threshold, and every leaf-entry CF. It can
-// be called any time before Finish.
+// dimensionality, the current threshold, every leaf-entry CF and every
+// entry on the outlier disk. It can be called any time before Finish.
 func (c *Clusterer) WriteSnapshot(w io.Writer) error {
 	if c.done {
 		return errors.New("birch: WriteSnapshot after Finish")
 	}
 	tree := c.eng.Tree()
-	cfs := tree.LeafCFs()
-
-	bw := bufio.NewWriter(w)
-	if _, err := bw.Write(snapshotMagic[:]); err != nil {
-		return err
-	}
-	if err := bw.WriteByte(byte(c.cfg.Core)); err != nil {
-		return err
-	}
-	hdr := []uint64{
-		uint64(c.cfg.Dim),
-		math.Float64bits(tree.Threshold()),
-		uint64(len(cfs)),
-	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
+	cw := cf.NewWriter(w)
+	cw.Bytes(snapshotMagic[:])
+	cw.U8(uint8(c.cfg.Core))
+	cw.U64(uint64(c.cfg.Dim))
+	cw.F64(tree.Threshold())
+	for _, cfs := range [][]cf.CF{tree.LeafCFs(), c.eng.Outliers()} {
+		cw.U64(uint64(len(cfs)))
+		for i := range cfs {
+			cw.Row(&cfs[i])
 		}
 	}
-	for i := range cfs {
-		if err := writeCF(bw, &cfs[i]); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	cw.Seal()
+	return cw.Flush()
 }
 
 // ResumeSnapshot reconstructs a Clusterer from a snapshot written by
 // WriteSnapshot. The provided configuration must use the snapshot's
 // dimensionality and must have Refine off (summaries carry no points to
 // re-scan); its InitialThreshold is raised to the snapshot's threshold
-// so the restored entries are valid leaf entries.
+// so the restored entries are valid leaf entries. Outlier-disk entries
+// are re-added after the leaves, so the resumed Clusterer holds the
+// snapshot's whole point mass.
 func ResumeSnapshot(r io.Reader, cfg Config) (*Clusterer, error) {
 	if cfg.Refine {
 		return nil, errors.New("birch: ResumeSnapshot requires Refine=false")
 	}
-	br := bufio.NewReader(r)
+	d := cf.NewReader(r)
 	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	d.Bytes(magic[:])
+	if err := d.Err(); err != nil {
 		return nil, fmt.Errorf("birch: reading snapshot magic: %w", err)
 	}
-	snapCore := cf.CoreClassic
+	snapCore, lists := cf.CoreClassic, 1
 	switch magic {
-	case snapshotMagic:
-		kb, err := br.ReadByte()
-		if err != nil {
+	case snapshotMagic, snapshotMagicV2:
+		kb := d.U8()
+		if err := d.Err(); err != nil {
 			return nil, fmt.Errorf("birch: reading snapshot core tag: %w", err)
 		}
 		snapCore = cf.CoreKind(kb)
 		if !snapCore.Valid() {
 			return nil, fmt.Errorf("birch: unknown snapshot core kind %d", kb)
+		}
+		if magic == snapshotMagic {
+			lists = 2
 		}
 	case snapshotMagicV1:
 		// Pre-core-tag snapshots always carried classic triples.
@@ -106,14 +107,10 @@ func ResumeSnapshot(r io.Reader, cfg Config) (*Clusterer, error) {
 		return nil, fmt.Errorf("birch: snapshot core %v, config core %v — a %v snapshot cannot be reinterpreted under another backend",
 			snapCore, cfg.Core, snapCore)
 	}
-	var dim, count uint64
-	var tbits uint64
-	for _, dst := range []*uint64{&dim, &tbits, &count} {
-		if err := binary.Read(br, binary.LittleEndian, dst); err != nil {
-			return nil, fmt.Errorf("birch: reading snapshot header: %w", err)
-		}
+	dim, threshold := d.U64(), d.F64()
+	if err := d.Err(); err != nil {
+		return nil, fmt.Errorf("birch: reading snapshot header: %w", err)
 	}
-	threshold := math.Float64frombits(tbits)
 	if dim == 0 || dim > 1<<20 {
 		return nil, fmt.Errorf("birch: implausible snapshot dimension %d", dim)
 	}
@@ -131,61 +128,33 @@ func ResumeSnapshot(r io.Reader, cfg Config) (*Clusterer, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Clusterer{cfg: cfg, eng: eng}
 	var points int64
-	for i := uint64(0); i < count; i++ {
-		entry, err := readCF(br, int(dim), snapCore)
-		if err != nil {
-			return nil, fmt.Errorf("birch: reading snapshot entry %d: %w", i, err)
+	var entry uint64 // numbers leaves, then outlier entries
+	for l := 0; l < lists; l++ {
+		count := d.U64()
+		if err := d.Err(); err != nil {
+			return nil, fmt.Errorf("birch: reading snapshot header: %w", err)
 		}
-		// The tree sums entry counts into its nonleaf CFs; a total past
-		// int64 would wrap them negative.
-		if entry.N > math.MaxInt64-points {
-			return nil, fmt.Errorf("birch: snapshot entry %d: total point count overflows int64", i)
-		}
-		points += entry.N
-		if err := eng.AddCF(entry); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-// writeCF emits one CF as N, SS, LS[0..d) — under BETULA the same slots
-// carry (N, S, μ[0..d)).
-func writeCF(w io.Writer, c *cf.CF) error {
-	if err := binary.Write(w, binary.LittleEndian, c.N); err != nil {
-		return err
-	}
-	if err := binary.Write(w, binary.LittleEndian, c.SS); err != nil {
-		return err
-	}
-	for _, v := range c.LS {
-		if err := binary.Write(w, binary.LittleEndian, v); err != nil {
-			return err
+		for i := uint64(0); i < count; i, entry = i+1, entry+1 {
+			c, err := d.Row(snapCore, cfg.Dim)
+			if err != nil {
+				return nil, fmt.Errorf("birch: reading snapshot entry %d: %w", entry, err)
+			}
+			// The tree sums entry counts into its nonleaf CFs; a total past
+			// int64 would wrap them negative.
+			if c.N > math.MaxInt64-points {
+				return nil, fmt.Errorf("birch: snapshot entry %d: total point count overflows int64", entry)
+			}
+			points += c.N
+			if err := eng.AddCF(c); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return nil
-}
-
-// readCF parses one CF of dimension d under the given core backend. The
-// components are decoded into locals and assembled through the backend's
-// FromComponents, which validates them — raw cf.CF field writes outside
-// internal/cf are a birchlint violation (cfmutate).
-func readCF(r io.Reader, dim int, kind cf.CoreKind) (cf.CF, error) {
-	var n int64
-	var ss float64
-	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return cf.CF{}, err
-	}
-	if err := binary.Read(r, binary.LittleEndian, &ss); err != nil {
-		return cf.CF{}, err
-	}
-	ls := vec.New(dim)
-	for i := range ls {
-		if err := binary.Read(r, binary.LittleEndian, &ls[i]); err != nil {
-			return cf.CF{}, err
+	if lists == 2 {
+		if err := d.Check(); err != nil {
+			return nil, fmt.Errorf("birch: snapshot: %w", err)
 		}
 	}
-	return cf.CoreFor(kind).FromComponents(n, ls, ss)
+	return &Clusterer{cfg: cfg, eng: eng}, nil
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"birch/internal/cf"
+	"birch/internal/pager"
 	"birch/internal/vec"
 )
 
@@ -86,10 +87,13 @@ func TestSnapshotRoundTrip(t *testing.T) {
 }
 
 func TestSnapshotSizeIsTreeBound(t *testing.T) {
-	// 10× the points must not mean 10× the snapshot: its size is bound by
-	// the tree, not the stream.
-	sizeFor := func(n int) int {
-		c, err := New(noRefineConfig(4))
+	// 10× the points must not mean 10× the snapshot: its rows are the
+	// tree's leaf entries, whose count is bound by the tree, plus the
+	// outlier disk, whose budget the config fixes.
+	cfg := noRefineConfig(4)
+	type shape struct{ bytes, leaves, outliers int }
+	shapeFor := func(n int) shape {
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,12 +106,25 @@ func TestSnapshotSizeIsTreeBound(t *testing.T) {
 		if err := c.WriteSnapshot(&buf); err != nil {
 			t.Fatal(err)
 		}
-		return buf.Len()
+		return shape{buf.Len(), c.eng.Tree().LeafEntries(), len(c.eng.Outliers())}
 	}
-	small := sizeFor(2000)
-	large := sizeFor(20000)
-	if large > 3*small {
-		t.Fatalf("snapshot grew with the stream: %d -> %d bytes", small, large)
+	small := shapeFor(2000)
+	large := shapeFor(20000)
+	// magic, core tag, dim, threshold, two row counts, CRC trailer.
+	const header = 8 + 1 + 8 + 8 + 8 + 8 + 4
+	rowBytes := 16 + 8*cfg.Dim
+	diskRows := int(float64(cfg.Memory)*cfg.OutlierDiskPct/100) / pager.OutlierEntrySize(cfg.Dim)
+	for _, s := range []shape{small, large} {
+		if want := header + (s.leaves+s.outliers)*rowBytes; s.bytes != want {
+			t.Fatalf("snapshot of %d leaf and %d outlier entries is %d bytes, want %d", s.leaves, s.outliers, s.bytes, want)
+		}
+		if s.outliers > diskRows {
+			t.Fatalf("%d outlier entries, the disk budget holds %d", s.outliers, diskRows)
+		}
+	}
+	if large.leaves > 3*small.leaves {
+		t.Fatalf("snapshot grew with the stream: %d -> %d leaf entries (%d -> %d bytes)",
+			small.leaves, large.leaves, small.bytes, large.bytes)
 	}
 }
 
@@ -284,20 +301,7 @@ func TestSnapshotCoreMismatchRejected(t *testing.T) {
 // version-2 byte stream minus the tag byte with a '1' in the magic; it
 // must load as classic and reject a betula config.
 func TestSnapshotV1ReadAsClassic(t *testing.T) {
-	c, err := New(noRefineConfig(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range []Point{{1, 2}, {40, 50}} {
-		if err := c.Insert(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := c.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	v2 := buf.Bytes()
+	v2 := readFixture(t, "snapshot-v2.bin")
 	// Synthesize the v1 layout: magic ends in '1', no core-tag byte.
 	v1 := append([]byte("BIRCHSS1"), v2[9:]...)
 
@@ -310,6 +314,77 @@ func TestSnapshotV1ReadAsClassic(t *testing.T) {
 	}
 	if _, err := ResumeSnapshot(bytes.NewReader(v1), betulaConfig(2)); err == nil {
 		t.Fatal("v1 (classic) snapshot accepted under betula config")
+	}
+}
+
+// TestSnapshotKeepsOutlierDiskMass: a snapshot carries the entries on the
+// outlier disk as well as the leaves, so the resumed Clusterer's tree
+// plus outlier disk holds exactly the writer's point mass.
+func TestSnapshotKeepsOutlierDiskMass(t *testing.T) {
+	mass := func(c *Clusterer) int64 {
+		m := c.eng.Tree().Points()
+		for _, o := range c.eng.Outliers() {
+			m += o.N
+		}
+		return m
+	}
+	for _, kind := range []CoreKind{cf.CoreClassic, cf.CoreBETULA} {
+		for seed := int64(1); seed <= 8; seed++ {
+			cfg := checkpointConfig(kind, cf.D2)
+			pts := blobPoints(seed, 3, 700, 50, 2)
+			c1, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range pts[:len(pts)/2] {
+				if err := c1.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if m := mass(c1); m != int64(len(pts)/2) {
+				t.Fatalf("%v seed %d: writer holds %d points, inserted %d", kind, seed, m, len(pts)/2)
+			}
+			var buf bytes.Buffer
+			if err := c1.WriteSnapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			c2, err := ResumeSnapshot(&buf, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := mass(c2), mass(c1); got != want {
+				t.Errorf("%v seed %d: resumed %d points, writer held %d (%d entries on its outlier disk)",
+					kind, seed, got, want, len(c1.eng.Outliers()))
+			}
+		}
+	}
+}
+
+// TestSnapshotRejectsEveryByteFlip: the v3 CRC trailer covers every byte
+// after the magic, so even a flip that leaves a valid CF (a float payload
+// bit, the threshold) is rejected. (The magic is matched whole; its last
+// byte is the version digit, so flipping it selects another layout.)
+func TestSnapshotRejectsEveryByteFlip(t *testing.T) {
+	c, err := New(noRefineConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range blobPoints(62, 2, 40, 50, 1) {
+		if err := c.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := c.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	good := buf.Bytes()
+	for off := 8; off < len(good); off++ {
+		bad := append([]byte(nil), good...)
+		bad[off] ^= 0x01
+		if _, err := ResumeSnapshot(bytes.NewReader(bad), noRefineConfig(2)); err == nil {
+			t.Fatalf("snapshot with byte %d of %d flipped accepted", off, len(good))
+		}
 	}
 }
 
@@ -378,7 +453,7 @@ func TestWriteSnapshotPropagatesErrors(t *testing.T) {
 // negative and panicking on the next split.
 func TestResumeSnapshotRejectsCountOverflow(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write(snapshotMagic[:])
+	buf.Write(snapshotMagicV2[:])
 	buf.WriteByte(byte(cf.CoreClassic))
 	for _, v := range []uint64{2, math.Float64bits(0), 2} {
 		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
@@ -387,9 +462,7 @@ func TestResumeSnapshotRejectsCountOverflow(t *testing.T) {
 	}
 	big := cf.CF{N: 1 << 62, LS: vec.Vector{0, 0}}
 	for i := 0; i < 2; i++ {
-		if err := writeCF(&buf, &big); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(cf.AppendRow(nil, &big))
 	}
 	_, err := ResumeSnapshot(&buf, noRefineConfig(2))
 	if err == nil || !strings.Contains(err.Error(), "overflows int64") {
