@@ -66,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzInsertInvariants -fuzztime $(FUZZTIME) ./internal/cftree
 	$(GO) test -run '^$$' -fuzz FuzzScanBlockSync -fuzztime $(FUZZTIME) ./internal/cftree
 	$(GO) test -run '^$$' -fuzz FuzzSparseKernelParity -fuzztime $(FUZZTIME) ./internal/cf
+	$(GO) test -run '^$$' -fuzz FuzzScanLanes -fuzztime $(FUZZTIME) ./internal/cf
 	$(GO) test -run '^$$' -fuzz FuzzStreamInsertClose -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/pager
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/server

@@ -1,6 +1,7 @@
 package cf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -30,46 +31,81 @@ func centroidBlock(dim int, centroids []vec.Vector) *Block {
 	return b
 }
 
+// checkNearestLanes holds the four-lane ScanNearestX0 to its
+// single-accumulator reference and to the brute vec.SqDist loop: same
+// index, same distance bits.
+func checkNearestLanes(q vec.Vector, centroids []vec.Vector) error {
+	b := centroidBlock(len(q), centroids)
+	wantI, wantD := bruteNearest(q, centroids)
+	for _, s := range []struct {
+		name string
+		scan func(vec.Vector, *Block) (int, float64)
+	}{{"lane scan", ScanNearestX0}, {"reference scan", refScanNearestX0}} {
+		i, d := s.scan(q, b)
+		if i != wantI || math.Float64bits(d) != math.Float64bits(wantD) {
+			return fmt.Errorf("dim=%d k=%d: %s (%d, bits %x), brute (%d, bits %x)",
+				len(q), len(centroids), s.name, i, math.Float64bits(d), wantI, math.Float64bits(wantD))
+		}
+	}
+	return nil
+}
+
 // TestScanNearestX0MatchesBruteBitwise is the flat-scan equivalence
-// property: over random centroid slates (including exact duplicates, so
-// the lowest-index tie rule is exercised) the fused scan returns the same
-// index and the bit-identical squared distance as the brute vec.SqDist
-// loop.
+// property: for every K from 1 to 40, over random centroid slates with
+// the brute winner duplicated into each lane position of a four-
+// centroid step (so the lowest-index tie rule is exercised per lane)
+// and with a non-finite centroid planted, the fused scan returns the
+// same index and the bit-identical squared distance as the brute
+// vec.SqDist loop and the single-accumulator reference.
 func TestScanNearestX0MatchesBruteBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(77))
 	for _, dim := range []int{1, 2, 3, 8, 17, 64} {
-		for trial := 0; trial < 60; trial++ {
-			k := 1 + r.Intn(40)
-			centroids := make([]vec.Vector, k)
-			for i := range centroids {
-				c := vec.New(dim)
-				scale := math.Pow(10, float64(r.Intn(7)-3))
-				for j := range c {
-					c[j] = (r.Float64() - 0.5) * scale
+		for k := 1; k <= 40; k++ {
+			for trial := 0; trial < 4; trial++ {
+				centroids := make([]vec.Vector, k)
+				for i := range centroids {
+					c := vec.New(dim)
+					scale := math.Pow(10, float64(r.Intn(7)-3))
+					for j := range c {
+						c[j] = (r.Float64() - 0.5) * scale
+					}
+					centroids[i] = c
 				}
-				centroids[i] = c
-			}
-			// Duplicate a centroid so exact ties occur.
-			if k > 2 {
-				centroids[k-1] = centroids[r.Intn(k-1)].Clone()
-			}
-			b := centroidBlock(dim, centroids)
-			for qi := 0; qi < 20; qi++ {
-				q := vec.New(dim)
-				for j := range q {
-					q[j] = (r.Float64() - 0.5) * 100
-				}
-				if qi%5 == 0 {
-					q = centroids[r.Intn(k)].Clone() // distance-zero tie case
-				}
-				wantI, wantD := bruteNearest(q, centroids)
-				gotI, gotD := ScanNearestX0(q, b)
-				if gotI != wantI {
-					t.Fatalf("dim=%d k=%d: fused index %d, brute %d", dim, k, gotI, wantI)
-				}
-				if math.Float64bits(gotD) != math.Float64bits(wantD) {
-					t.Fatalf("dim=%d k=%d: fused d=%x, brute d=%x",
-						dim, k, math.Float64bits(gotD), math.Float64bits(wantD))
+				for qi := 0; qi < 5; qi++ {
+					q := vec.New(dim)
+					for j := range q {
+						q[j] = (r.Float64() - 0.5) * 100
+					}
+					if qi == 0 {
+						q = centroids[r.Intn(k)].Clone() // distance-zero case
+					}
+					if err := checkNearestLanes(q, centroids); err != nil {
+						t.Fatal(err)
+					}
+					// The winner again at a later slot in each lane.
+					w, _ := bruteNearest(q, centroids)
+					for lane := 0; lane < 4; lane++ {
+						tt := w + 1 + (lane-(w+1)%4+4)%4
+						if tt >= k {
+							continue
+						}
+						tied := append([]vec.Vector(nil), centroids...)
+						tied[tt] = centroids[w].Clone()
+						if err := checkNearestLanes(q, tied); err != nil {
+							t.Fatalf("tie in lane %d: %v", lane, err)
+						}
+					}
+					// A non-finite centroid in a random slot.
+					bad := append([]vec.Vector(nil), centroids...)
+					nf := vec.New(dim)
+					for j := range nf {
+						nf[j] = (r.Float64() - 0.5) * 4e200
+					}
+					nf[r.Intn(dim)] = []float64{nf[0], math.Inf(-1), math.NaN()}[qi%3]
+					bad[r.Intn(k)] = nf
+					if err := checkNearestLanes(q, bad); err != nil {
+						t.Fatalf("non-finite centroid: %v", err)
+					}
 				}
 			}
 		}

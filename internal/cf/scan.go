@@ -7,7 +7,7 @@ import (
 )
 
 // This file provides the fused argmin scan kernels: the second stage of
-// the closest-entry-scan specialization. PR 2's Kernel removed the
+// the closest-entry-scan specialization. Kernel (kernel.go) removed the
 // per-pair metric switch and the query-side recomputation; what remained
 // was one indirect call per candidate plus a pointer chase to each
 // entry's separately allocated LS vector. A ScanKernel walks a node's
@@ -15,6 +15,16 @@ import (
 // there are zero indirect calls per candidate, and each metric streams
 // exactly one packed slab (x0 for D0/D1/D4, ls for D2/D3) so every byte
 // pulled through the cache is a byte the metric reads.
+//
+// Candidate lanes. A one-accumulator loop makes every floating-point add
+// wait for the one before it, so a scan over short rows is bound by add
+// latency rather than by loads or arithmetic. The scans therefore step
+// four candidates at a time, each with its own accumulator (then two,
+// then one for the K mod 4 remainder): the four add chains are
+// independent, so they overlap in the pipeline. The lane helpers at the
+// bottom of this file are the four metric families' inner loops — the
+// squared difference, the absolute difference, the dot product and the
+// squared sum — at widths four, two and one.
 //
 // Exactness contract: for every metric m, non-empty query q and Block blk
 // whose slots are in sync with entries e_0..e_k (Block.CheckSync),
@@ -27,18 +37,21 @@ import (
 //	for i := 1..k { if d := KernelFor(m)(qry, &e_i); d < bestD { ... } }
 //
 // would produce — bit-for-bit distances, ties keeping the lowest index.
-// The scan bodies perform the same floating-point operations in the same
-// order as the kernels (and therefore as the generic DistanceSq); the
-// only hoisted values are whole subexpressions (LS[j]/N, SS/N,
-// float64(N)) stored in the block by the very operations the kernels
-// would perform, so no reassociation occurs anywhere. scan_test.go
-// property-checks this with Float64bits comparisons for all five
-// metrics, including the cancellation cases.
-//
-// Each scan evaluates candidate 0 inside the same `i == 0 || d < bestD`
-// update as the rest, which is exactly the reference loop's behaviour for
-// every input, including non-finite distances from overflowing (but
-// valid) CFs.
+// Lanes reorder nothing that is rounded: each candidate is still summed
+// into its own accumulator in component order, with the kernel's
+// expression and clamp, so its distance keeps its bits; and the
+// distances are compared in candidate order under the same
+// `i == 0 || d < bestD` update (pick), so ties and non-finite distances
+// resolve exactly as in the one-at-a-time loop. The scan bodies perform
+// the same floating-point operations in the same order as the kernels
+// (and therefore as the generic DistanceSq); the only hoisted values are
+// whole subexpressions (LS[j]/N, SS/N, float64(N)) stored in the block by
+// the very operations the kernels would perform, so no reassociation
+// occurs anywhere. The single-accumulator bodies these kernels replaced
+// are kept in scan_ref_test.go; scan_test.go and FuzzScanLanes check the
+// lanes against them and against the kernel loop with Float64bits
+// comparisons, for every (metric, core) pair, every K mod 4, planted ties
+// at each lane position and non-finite distances.
 
 // ScanKernel returns the index of the block slot closest to the query
 // bound into q, together with its squared metric distance. The block must
@@ -94,6 +107,19 @@ func ScanKernelForCore(m Metric, kind CoreKind) ScanKernel {
 	}
 }
 
+// pick is the reference loop's update for candidate i with distance d:
+// the first candidate always seeds the minimum, later ones replace it
+// only when strictly smaller — so ties keep the lowest index, and a NaN
+// never wins (nor, once seeded, loses).
+//
+//birchlint:hotpath
+func pick(best int, bestD float64, i int, d float64) (int, float64) {
+	if i == 0 || d < bestD {
+		return i, d
+	}
+	return best, bestD
+}
+
 // ScanNearestX0 is the fused flat-scan serving kernel: the argmin over
 // the block's x0 slab of the plain squared Euclidean distance ‖q − X0ᵢ‖²,
 // returning the winning slot index and that squared distance.
@@ -120,16 +146,24 @@ func ScanNearestX0(q vec.Vector, b *Block) (int, float64) {
 	slab := b.x0
 	qx := q[:dim] // bounds-check elimination hint
 	best, bestD := 0, 0.0
-	for i, off := 0, 0; i < k; i, off = i+1, off+stride {
-		cx := slab[off : off+dim : off+dim]
-		var s float64
-		for j, v := range cx {
-			d := v - qx[j]
-			s += d * d
-		}
-		if i == 0 || s < bestD {
-			best, bestD = i, s
-		}
+	i, off := 0, 0
+	for ; i+4 <= k; i, off = i+4, off+4*stride {
+		r0, r1, r2, r3 := rows4(slab, off, stride, dim)
+		s0, s1, s2, s3 := sqDiff4(r0, r1, r2, r3, qx)
+		best, bestD = pick(best, bestD, i, s0)
+		best, bestD = pick(best, bestD, i+1, s1)
+		best, bestD = pick(best, bestD, i+2, s2)
+		best, bestD = pick(best, bestD, i+3, s3)
+	}
+	if i+2 <= k {
+		r0, r1 := rows2(slab, off, stride, dim)
+		s0, s1 := sqDiff2(r0, r1, qx)
+		best, bestD = pick(best, bestD, i, s0)
+		best, bestD = pick(best, bestD, i+1, s1)
+		i, off = i+2, off+2*stride
+	}
+	if i < k {
+		best, bestD = pick(best, bestD, i, sqDiff1(slab[off:off+dim:off+dim], qx))
 	}
 	return best, bestD
 }
@@ -145,20 +179,35 @@ func scanD0(q *Query, b *Block) (int, float64) {
 	slab := b.x0
 	qx := q.x0[:dim] // bounds-check elimination hint
 	best, bestD := 0, 0.0
-	for i, off := 0, 0; i < k; i, off = i+1, off+stride {
-		cx := slab[off : off+dim : off+dim]
-		var s float64
-		for j, v := range cx {
-			d := v - qx[j]
-			s += d * d
-		}
-		d := math.Sqrt(s)
-		d = d * d
-		if i == 0 || d < bestD {
-			best, bestD = i, d
-		}
+	i, off := 0, 0
+	for ; i+4 <= k; i, off = i+4, off+4*stride {
+		r0, r1, r2, r3 := rows4(slab, off, stride, dim)
+		s0, s1, s2, s3 := sqDiff4(r0, r1, r2, r3, qx)
+		best, bestD = pick(best, bestD, i, d0Of(s0))
+		best, bestD = pick(best, bestD, i+1, d0Of(s1))
+		best, bestD = pick(best, bestD, i+2, d0Of(s2))
+		best, bestD = pick(best, bestD, i+3, d0Of(s3))
+	}
+	if i+2 <= k {
+		r0, r1 := rows2(slab, off, stride, dim)
+		s0, s1 := sqDiff2(r0, r1, qx)
+		best, bestD = pick(best, bestD, i, d0Of(s0))
+		best, bestD = pick(best, bestD, i+1, d0Of(s1))
+		i, off = i+2, off+2*stride
+	}
+	if i < k {
+		best, bestD = pick(best, bestD, i, d0Of(sqDiff1(slab[off:off+dim:off+dim], qx)))
 	}
 	return best, bestD
+}
+
+// d0Of is kernelD0's tail: the sqrt-then-square round trip of the
+// generic path, which dropping would change low bits.
+//
+//birchlint:hotpath
+func d0Of(s float64) float64 {
+	d := math.Sqrt(s)
+	return d * d
 }
 
 // scanD1 fuses kernelD1: squared Manhattan centroid distance.
@@ -171,16 +220,25 @@ func scanD1(q *Query, b *Block) (int, float64) {
 	slab := b.x0
 	qx := q.x0[:dim] // bounds-check elimination hint
 	best, bestD := 0, 0.0
-	for i, off := 0, 0; i < k; i, off = i+1, off+stride {
-		cx := slab[off : off+dim : off+dim]
-		var s float64
-		for j, v := range cx {
-			s += math.Abs(v - qx[j])
-		}
-		d := s * s
-		if i == 0 || d < bestD {
-			best, bestD = i, d
-		}
+	i, off := 0, 0
+	for ; i+4 <= k; i, off = i+4, off+4*stride {
+		r0, r1, r2, r3 := rows4(slab, off, stride, dim)
+		s0, s1, s2, s3 := absDiff4(r0, r1, r2, r3, qx)
+		best, bestD = pick(best, bestD, i, s0*s0)
+		best, bestD = pick(best, bestD, i+1, s1*s1)
+		best, bestD = pick(best, bestD, i+2, s2*s2)
+		best, bestD = pick(best, bestD, i+3, s3*s3)
+	}
+	if i+2 <= k {
+		r0, r1 := rows2(slab, off, stride, dim)
+		s0, s1 := absDiff2(r0, r1, qx)
+		best, bestD = pick(best, bestD, i, s0*s0)
+		best, bestD = pick(best, bestD, i+1, s1*s1)
+		i, off = i+2, off+2*stride
+	}
+	if i < k {
+		s := absDiff1(slab[off:off+dim:off+dim], qx)
+		best, bestD = pick(best, bestD, i, s*s)
 	}
 	return best, bestD
 }
@@ -198,21 +256,38 @@ func scanD2(q *Query, b *Block) (int, float64) {
 	slab := b.ls
 	qls := q.ls[:dim] // bounds-check elimination hint
 	best, bestD := 0, 0.0
-	for i, off := 0, 0; i < k; i, off = i+1, off+stride {
-		cls := slab[off : off+dim : off+dim]
-		var dot float64
-		for j, v := range cls {
-			dot += v * qls[j]
-		}
-		d := slab[off+dim] + q.ssOverN - 2*dot/(slab[off+dim+2]*q.n)
-		if d < 0 {
-			d = 0
-		}
-		if i == 0 || d < bestD {
-			best, bestD = i, d
-		}
+	i, off := 0, 0
+	for ; i+4 <= k; i, off = i+4, off+4*stride {
+		r0, r1, r2, r3 := rows4(slab, off, stride, dim)
+		t0, t1, t2, t3 := dot4(r0, r1, r2, r3, qls)
+		best, bestD = pick(best, bestD, i, q.d2Of(slab, off+dim, t0))
+		best, bestD = pick(best, bestD, i+1, q.d2Of(slab, off+stride+dim, t1))
+		best, bestD = pick(best, bestD, i+2, q.d2Of(slab, off+2*stride+dim, t2))
+		best, bestD = pick(best, bestD, i+3, q.d2Of(slab, off+3*stride+dim, t3))
+	}
+	if i+2 <= k {
+		r0, r1 := rows2(slab, off, stride, dim)
+		t0, t1 := dot2(r0, r1, qls)
+		best, bestD = pick(best, bestD, i, q.d2Of(slab, off+dim, t0))
+		best, bestD = pick(best, bestD, i+1, q.d2Of(slab, off+stride+dim, t1))
+		i, off = i+2, off+2*stride
+	}
+	if i < k {
+		best, bestD = pick(best, bestD, i, q.d2Of(slab, off+dim, dot1(slab[off:off+dim:off+dim], qls)))
 	}
 	return best, bestD
+}
+
+// d2Of is kernelD2's tail for one candidate, given its dot product and
+// the offset of its ls-slab tail words (SS/N, SS, float64(N)).
+//
+//birchlint:hotpath
+func (q *Query) d2Of(slab []float64, tail int, dot float64) float64 {
+	d := slab[tail] + q.ssOverN - 2*dot/(slab[tail+2]*q.n)
+	if d < 0 {
+		d = 0
+	}
+	return d
 }
 
 // scanD3 fuses kernelD3: the squared diameter of the merged cluster from
@@ -224,35 +299,90 @@ func scanD3(q *Query, b *Block) (int, float64) {
 	dim := b.dim
 	stride := dim + 3
 	nn := b.n
+	k := len(nn)
 	slab := b.ls
 	qls := q.ls[:dim] // bounds-check elimination hint
 	best, bestD := 0, 0.0
-	for i, off := 0, 0; i < len(nn); i, off = i+1, off+stride {
-		cls := slab[off : off+dim : off+dim]
-		var lsSq float64
-		for j, v := range cls {
-			s := v + qls[j]
-			lsSq += s * s
-		}
-		var d float64
-		if n := float64(nn[i] + q.ni); n >= 2 {
-			ss := slab[off+dim+1] + q.ss
-			d = (2*n*ss - 2*lsSq) / (n * (n - 1))
-			if d < 0 {
-				d = 0
-			}
-		}
-		if i == 0 || d < bestD {
-			best, bestD = i, d
-		}
+	i, off := 0, 0
+	for ; i+4 <= k; i, off = i+4, off+4*stride {
+		r0, r1, r2, r3 := rows4(slab, off, stride, dim)
+		t0, t1, t2, t3 := sumSq4(r0, r1, r2, r3, qls)
+		best, bestD = pick(best, bestD, i, q.d3Of(nn[i], slab[off+dim+1], t0))
+		best, bestD = pick(best, bestD, i+1, q.d3Of(nn[i+1], slab[off+stride+dim+1], t1))
+		best, bestD = pick(best, bestD, i+2, q.d3Of(nn[i+2], slab[off+2*stride+dim+1], t2))
+		best, bestD = pick(best, bestD, i+3, q.d3Of(nn[i+3], slab[off+3*stride+dim+1], t3))
+	}
+	if i+2 <= k {
+		r0, r1 := rows2(slab, off, stride, dim)
+		t0, t1 := sumSq2(r0, r1, qls)
+		best, bestD = pick(best, bestD, i, q.d3Of(nn[i], slab[off+dim+1], t0))
+		best, bestD = pick(best, bestD, i+1, q.d3Of(nn[i+1], slab[off+stride+dim+1], t1))
+		i, off = i+2, off+2*stride
+	}
+	if i < k {
+		best, bestD = pick(best, bestD, i, q.d3Of(nn[i], slab[off+dim+1], sumSq1(slab[off:off+dim:off+dim], qls)))
 	}
 	return best, bestD
+}
+
+// d3Of is kernelD3's tail for one candidate of count nc and square sum
+// ss, given ‖LSc + LSq‖².
+//
+//birchlint:hotpath
+func (q *Query) d3Of(nc int64, ss, lsSq float64) float64 {
+	var d float64
+	if n := float64(nc + q.ni); n >= 2 {
+		sum := ss + q.ss
+		d = (2*n*sum - 2*lsSq) / (n * (n - 1))
+		if d < 0 {
+			d = 0
+		}
+	}
+	return d
 }
 
 // scanD4 fuses kernelD4: the Ward-form variance increase with both
 // centroids hoisted, one linear pass over the x0 slab (the candidate's
 // float64(N) is the slab's tail word).
 //
+//birchlint:hotpath
+func scanD4(q *Query, b *Block) (int, float64) {
+	dim := b.dim
+	stride := dim + 1
+	k := len(b.n)
+	slab := b.x0
+	qx := q.x0[:dim] // bounds-check elimination hint
+	best, bestD := 0, 0.0
+	i, off := 0, 0
+	for ; i+4 <= k; i, off = i+4, off+4*stride {
+		r0, r1, r2, r3 := rows4(slab, off, stride, dim)
+		s0, s1, s2, s3 := sqDiff4(r0, r1, r2, r3, qx)
+		best, bestD = pick(best, bestD, i, q.d4Of(slab[off+dim], s0))
+		best, bestD = pick(best, bestD, i+1, q.d4Of(slab[off+stride+dim], s1))
+		best, bestD = pick(best, bestD, i+2, q.d4Of(slab[off+2*stride+dim], s2))
+		best, bestD = pick(best, bestD, i+3, q.d4Of(slab[off+3*stride+dim], s3))
+	}
+	if i+2 <= k {
+		r0, r1 := rows2(slab, off, stride, dim)
+		s0, s1 := sqDiff2(r0, r1, qx)
+		best, bestD = pick(best, bestD, i, q.d4Of(slab[off+dim], s0))
+		best, bestD = pick(best, bestD, i+1, q.d4Of(slab[off+stride+dim], s1))
+		i, off = i+2, off+2*stride
+	}
+	if i < k {
+		best, bestD = pick(best, bestD, i, q.d4Of(slab[off+dim], sqDiff1(slab[off:off+dim:off+dim], qx)))
+	}
+	return best, bestD
+}
+
+// d4Of is kernelD4's tail for a candidate of count na (as float64),
+// given the squared centroid distance.
+//
+//birchlint:hotpath
+func (q *Query) d4Of(na, cdistSq float64) float64 {
+	return na * q.n / (na + q.n) * cdistSq
+}
+
 // scanD2b fuses kernelD2b over a betula block: Sa/Na + Sb/Nb + ‖μa−μb‖²,
 // streaming the x0 slab (means) and the candidate's hoisted S/N from the
 // sb side slab. Every term is non-negative — no clamp, matching the
@@ -267,17 +397,24 @@ func scanD2b(q *Query, b *Block) (int, float64) {
 	sb := b.sb
 	qx := q.x0[:dim] // bounds-check elimination hint
 	best, bestD := 0, 0.0
-	for i, off := 0, 0; i < k; i, off = i+1, off+stride {
-		cx := slab[off : off+dim : off+dim]
-		var d2 float64
-		for j, v := range cx {
-			d := v - qx[j]
-			d2 += d * d
-		}
-		d := sb[2*i] + q.ssOverN + d2
-		if i == 0 || d < bestD {
-			best, bestD = i, d
-		}
+	i, off := 0, 0
+	for ; i+4 <= k; i, off = i+4, off+4*stride {
+		r0, r1, r2, r3 := rows4(slab, off, stride, dim)
+		s0, s1, s2, s3 := sqDiff4(r0, r1, r2, r3, qx)
+		best, bestD = pick(best, bestD, i, sb[2*i]+q.ssOverN+s0)
+		best, bestD = pick(best, bestD, i+1, sb[2*i+2]+q.ssOverN+s1)
+		best, bestD = pick(best, bestD, i+2, sb[2*i+4]+q.ssOverN+s2)
+		best, bestD = pick(best, bestD, i+3, sb[2*i+6]+q.ssOverN+s3)
+	}
+	if i+2 <= k {
+		r0, r1 := rows2(slab, off, stride, dim)
+		s0, s1 := sqDiff2(r0, r1, qx)
+		best, bestD = pick(best, bestD, i, sb[2*i]+q.ssOverN+s0)
+		best, bestD = pick(best, bestD, i+1, sb[2*i+2]+q.ssOverN+s1)
+		i, off = i+2, off+2*stride
+	}
+	if i < k {
+		best, bestD = pick(best, bestD, i, sb[2*i]+q.ssOverN+sqDiff1(slab[off:off+dim:off+dim], qx))
 	}
 	return best, bestD
 }
@@ -292,28 +429,45 @@ func scanD3b(q *Query, b *Block) (int, float64) {
 	dim := b.dim
 	stride := dim + 1
 	nn := b.n
+	k := len(nn)
 	slab := b.x0
 	sb := b.sb
 	qx := q.x0[:dim] // bounds-check elimination hint
 	best, bestD := 0, 0.0
-	for i, off := 0, 0; i < len(nn); i, off = i+1, off+stride {
-		cx := slab[off : off+dim : off+dim]
-		var d2 float64
-		for j, v := range cx {
-			d := v - qx[j]
-			d2 += d * d
-		}
-		var d float64
-		if n := float64(nn[i] + q.ni); n >= 2 {
-			na := float64(nn[i])
-			s := sb[2*i+1] + q.ss + na*q.n/n*d2
-			d = 2 * s / (n - 1)
-		}
-		if i == 0 || d < bestD {
-			best, bestD = i, d
-		}
+	i, off := 0, 0
+	for ; i+4 <= k; i, off = i+4, off+4*stride {
+		r0, r1, r2, r3 := rows4(slab, off, stride, dim)
+		s0, s1, s2, s3 := sqDiff4(r0, r1, r2, r3, qx)
+		best, bestD = pick(best, bestD, i, q.d3bOf(nn[i], sb[2*i+1], s0))
+		best, bestD = pick(best, bestD, i+1, q.d3bOf(nn[i+1], sb[2*i+3], s1))
+		best, bestD = pick(best, bestD, i+2, q.d3bOf(nn[i+2], sb[2*i+5], s2))
+		best, bestD = pick(best, bestD, i+3, q.d3bOf(nn[i+3], sb[2*i+7], s3))
+	}
+	if i+2 <= k {
+		r0, r1 := rows2(slab, off, stride, dim)
+		s0, s1 := sqDiff2(r0, r1, qx)
+		best, bestD = pick(best, bestD, i, q.d3bOf(nn[i], sb[2*i+1], s0))
+		best, bestD = pick(best, bestD, i+1, q.d3bOf(nn[i+1], sb[2*i+3], s1))
+		i, off = i+2, off+2*stride
+	}
+	if i < k {
+		best, bestD = pick(best, bestD, i, q.d3bOf(nn[i], sb[2*i+1], sqDiff1(slab[off:off+dim:off+dim], qx)))
 	}
 	return best, bestD
+}
+
+// d3bOf is kernelD3b's tail for a candidate of count nc and deviation
+// sum s, given the squared distance between the means.
+//
+//birchlint:hotpath
+func (q *Query) d3bOf(nc int64, s, d2 float64) float64 {
+	var d float64
+	if n := float64(nc + q.ni); n >= 2 {
+		na := float64(nc)
+		merged := s + q.ss + na*q.n/n*d2
+		d = 2 * merged / (n - 1)
+	}
+	return d
 }
 
 // scanCos fuses kernelCos over the block: one dot-product stream per
@@ -333,40 +487,203 @@ func scanCos(q *Query, b *Block) (int, float64) {
 	qx := q.x0[:dim] // bounds-check elimination hint
 	qn := q.x0Norm
 	best, bestD := 0, 0.0
-	for i, off := 0, 0; i < k; i, off = i+1, off+stride {
-		cx := slab[off : off+dim : off+dim]
-		var dot float64
-		for j, v := range cx {
-			dot += v * qx[j]
-		}
-		d := cosDistSq(dot, cn[i], qn)
-		if i == 0 || d < bestD {
-			best, bestD = i, d
-		}
+	i, off := 0, 0
+	for ; i+4 <= k; i, off = i+4, off+4*stride {
+		r0, r1, r2, r3 := rows4(slab, off, stride, dim)
+		t0, t1, t2, t3 := dot4(r0, r1, r2, r3, qx)
+		best, bestD = pick(best, bestD, i, cosDistSq(t0, cn[i], qn))
+		best, bestD = pick(best, bestD, i+1, cosDistSq(t1, cn[i+1], qn))
+		best, bestD = pick(best, bestD, i+2, cosDistSq(t2, cn[i+2], qn))
+		best, bestD = pick(best, bestD, i+3, cosDistSq(t3, cn[i+3], qn))
+	}
+	if i+2 <= k {
+		r0, r1 := rows2(slab, off, stride, dim)
+		t0, t1 := dot2(r0, r1, qx)
+		best, bestD = pick(best, bestD, i, cosDistSq(t0, cn[i], qn))
+		best, bestD = pick(best, bestD, i+1, cosDistSq(t1, cn[i+1], qn))
+		i, off = i+2, off+2*stride
+	}
+	if i < k {
+		best, bestD = pick(best, bestD, i, cosDistSq(dot1(slab[off:off+dim:off+dim], qx), cn[i], qn))
 	}
 	return best, bestD
 }
 
+// The lane helpers. rows4 and rows2 slice the dim-component rows of
+// consecutive slots; each accumulator helper then returns one sum per
+// row, taken over the query's components in index order with exactly
+// the per-component expression of the reference loop (candidate operand
+// first). Callers pass rows and a query of the same length, so once the
+// helpers are inlined the compiler drops every bounds check in the
+// component loops.
+
+// rows4 returns the n-component rows of the four slots that start at
+// off, off+stride, off+2·stride and off+3·stride.
+//
 //birchlint:hotpath
-func scanD4(q *Query, b *Block) (int, float64) {
-	dim := b.dim
-	stride := dim + 1
-	k := len(b.n)
-	slab := b.x0
-	qx := q.x0[:dim] // bounds-check elimination hint
-	best, bestD := 0, 0.0
-	for i, off := 0, 0; i < k; i, off = i+1, off+stride {
-		cx := slab[off : off+dim : off+dim]
-		var cdistSq float64
-		for j, v := range cx {
-			d := v - qx[j]
-			cdistSq += d * d
-		}
-		na := slab[off+dim]
-		d := na * q.n / (na + q.n) * cdistSq
-		if i == 0 || d < bestD {
-			best, bestD = i, d
-		}
+func rows4(slab []float64, off, stride, n int) (r0, r1, r2, r3 []float64) {
+	r0 = slab[off : off+n : off+n]
+	off += stride
+	r1 = slab[off : off+n : off+n]
+	off += stride
+	r2 = slab[off : off+n : off+n]
+	off += stride
+	r3 = slab[off : off+n : off+n]
+	return r0, r1, r2, r3
+}
+
+// rows2 is rows4 for two slots.
+//
+//birchlint:hotpath
+func rows2(slab []float64, off, stride, n int) (r0, r1 []float64) {
+	r0 = slab[off : off+n : off+n]
+	off += stride
+	r1 = slab[off : off+n : off+n]
+	return r0, r1
+}
+
+// sqDiff4 returns Σⱼ (rᵢ[j] − q[j])² for four rows: the inner loop of
+// D0, D4, the betula D2/D3 and the flat nearest-centroid scan.
+//
+//birchlint:hotpath
+func sqDiff4(r0, r1, r2, r3, q []float64) (s0, s1, s2, s3 float64) {
+	for j, x := range q {
+		d0, d1, d2, d3 := r0[j]-x, r1[j]-x, r2[j]-x, r3[j]-x
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
 	}
-	return best, bestD
+	return s0, s1, s2, s3
+}
+
+// sqDiff2 is sqDiff4 for two rows.
+//
+//birchlint:hotpath
+func sqDiff2(r0, r1, q []float64) (s0, s1 float64) {
+	for j, x := range q {
+		d0, d1 := r0[j]-x, r1[j]-x
+		s0 += d0 * d0
+		s1 += d1 * d1
+	}
+	return s0, s1
+}
+
+// sqDiff1 is sqDiff4 for one row.
+//
+//birchlint:hotpath
+func sqDiff1(r, q []float64) (s float64) {
+	for j, x := range q {
+		d := r[j] - x
+		s += d * d
+	}
+	return s
+}
+
+// absDiff4 returns Σⱼ |rᵢ[j] − q[j]| for four rows: the inner loop of
+// D1.
+//
+//birchlint:hotpath
+func absDiff4(r0, r1, r2, r3, q []float64) (s0, s1, s2, s3 float64) {
+	for j, x := range q {
+		s0 += math.Abs(r0[j] - x)
+		s1 += math.Abs(r1[j] - x)
+		s2 += math.Abs(r2[j] - x)
+		s3 += math.Abs(r3[j] - x)
+	}
+	return s0, s1, s2, s3
+}
+
+// absDiff2 is absDiff4 for two rows.
+//
+//birchlint:hotpath
+func absDiff2(r0, r1, q []float64) (s0, s1 float64) {
+	for j, x := range q {
+		s0 += math.Abs(r0[j] - x)
+		s1 += math.Abs(r1[j] - x)
+	}
+	return s0, s1
+}
+
+// absDiff1 is absDiff4 for one row.
+//
+//birchlint:hotpath
+func absDiff1(r, q []float64) (s float64) {
+	for j, x := range q {
+		s += math.Abs(r[j] - x)
+	}
+	return s
+}
+
+// dot4 returns Σⱼ rᵢ[j]·q[j] for four rows: the inner loop of the
+// classic D2 (over the ls slab) and of DCos (over the x0 slab).
+//
+//birchlint:hotpath
+func dot4(r0, r1, r2, r3, q []float64) (t0, t1, t2, t3 float64) {
+	for j, x := range q {
+		t0 += r0[j] * x
+		t1 += r1[j] * x
+		t2 += r2[j] * x
+		t3 += r3[j] * x
+	}
+	return t0, t1, t2, t3
+}
+
+// dot2 is dot4 for two rows.
+//
+//birchlint:hotpath
+func dot2(r0, r1, q []float64) (t0, t1 float64) {
+	for j, x := range q {
+		t0 += r0[j] * x
+		t1 += r1[j] * x
+	}
+	return t0, t1
+}
+
+// dot1 is dot4 for one row.
+//
+//birchlint:hotpath
+func dot1(r, q []float64) (t float64) {
+	for j, x := range q {
+		t += r[j] * x
+	}
+	return t
+}
+
+// sumSq4 returns Σⱼ (rᵢ[j] + q[j])² for four rows: the merged linear
+// sum's squared norm in the classic D3.
+//
+//birchlint:hotpath
+func sumSq4(r0, r1, r2, r3, q []float64) (s0, s1, s2, s3 float64) {
+	for j, x := range q {
+		a0, a1, a2, a3 := r0[j]+x, r1[j]+x, r2[j]+x, r3[j]+x
+		s0 += a0 * a0
+		s1 += a1 * a1
+		s2 += a2 * a2
+		s3 += a3 * a3
+	}
+	return s0, s1, s2, s3
+}
+
+// sumSq2 is sumSq4 for two rows.
+//
+//birchlint:hotpath
+func sumSq2(r0, r1, q []float64) (s0, s1 float64) {
+	for j, x := range q {
+		a0, a1 := r0[j]+x, r1[j]+x
+		s0 += a0 * a0
+		s1 += a1 * a1
+	}
+	return s0, s1
+}
+
+// sumSq1 is sumSq4 for one row.
+//
+//birchlint:hotpath
+func sumSq1(r, q []float64) (s float64) {
+	for j, x := range q {
+		a := r[j] + x
+		s += a * a
+	}
+	return s
 }

@@ -1,17 +1,25 @@
 package cf
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
+
+	"birch/internal/pager"
 )
 
 // benchCands builds k random candidate CFs of dimension dim plus a block
 // and query over them, for the scan-vs-loop microbenchmarks.
 func benchCands(dim, k int) ([]CF, *Block, *Query) {
+	return benchCandsCore(dim, k, CoreClassic)
+}
+
+// benchCandsCore is benchCands under the given CF core.
+func benchCandsCore(dim, k int, kind CoreKind) ([]CF, *Block, *Query) {
 	rng := rand.New(rand.NewSource(42))
 	cands := make([]CF, k)
 	for i := range cands {
-		c := New(dim)
+		c := NewCore(dim, kind)
 		for p := 0; p < 3+rng.Intn(5); p++ {
 			pt := make([]float64, dim)
 			for j := range pt {
@@ -21,10 +29,7 @@ func benchCands(dim, k int) ([]CF, *Block, *Query) {
 		}
 		cands[i] = c
 	}
-	blk := NewBlock(dim, k)
-	for i := range cands {
-		blk.Append(&cands[i])
-	}
+	blk := blockOfCore(cands, kind)
 	q := NewQuery(dim)
 	qc := cands[k/2].Clone()
 	q.Bind(&qc)
@@ -65,3 +70,55 @@ func BenchmarkScanD2Dim32K14(b *testing.B) { benchmarkScan(b, D2, 32, 14) }
 func BenchmarkScanD0Dim8K48(b *testing.B)  { benchmarkScan(b, D0, 8, 48) }
 func BenchmarkScanD3Dim8K48(b *testing.B)  { benchmarkScan(b, D3, 8, 48) }
 func BenchmarkScanD4Dim32K14(b *testing.B) { benchmarkScan(b, D4, 32, 14) }
+
+// benchPageSize is the default page size (core.DefaultConfig), whose
+// pager.BranchingFactor / pager.LeafCapacity give the node fan-outs the
+// trees actually scan: K = 25/31 at d = 2, 11/12 at d = 8, 6/6 at d = 16.
+const benchPageSize = 1024
+
+// BenchmarkScanLanes times every dense fused scan — the single-
+// accumulator reference (scan_ref_test.go) against the four-lane kernel
+// — at those node shapes, plus the flat nearest-centroid scan at the
+// same K. Sub-benchmark names are <metric>-<core>/d<dim>-K<k>/{ref,lanes};
+// the betula core is listed only for the D2 and D3 scans it owns.
+func BenchmarkScanLanes(b *testing.B) {
+	for _, dim := range []int{2, 8, 16} {
+		ks := []int{pager.BranchingFactor(benchPageSize, dim)}
+		if l := pager.LeafCapacity(benchPageSize, dim); l != ks[0] {
+			ks = append(ks, l)
+		}
+		for _, k := range ks {
+			for _, kind := range scanCores {
+				for _, m := range denseScanMetrics {
+					if kind == CoreBETULA && m != D2 && m != D3 {
+						continue
+					}
+					_, blk, q := benchCandsCore(dim, k, kind)
+					name := fmt.Sprintf("%v-%v/d%d-K%d", m, kind, dim, k)
+					benchScanPair(b, name, func() int { i, _ := refScanKernelForCore(m, kind)(q, blk); return i },
+						func() int { i, _ := ScanKernelForCore(m, kind)(q, blk); return i })
+				}
+			}
+			_, blk, q := benchCands(dim, k)
+			x := q.x0
+			benchScanPair(b, fmt.Sprintf("nearest/d%d-K%d", dim, k),
+				func() int { i, _ := refScanNearestX0(x, blk); return i },
+				func() int { i, _ := ScanNearestX0(x, blk); return i })
+		}
+	}
+}
+
+func benchScanPair(b *testing.B, name string, ref, lanes func() int) {
+	for _, v := range []struct {
+		name string
+		scan func() int
+	}{{"ref", ref}, {"lanes", lanes}} {
+		b.Run(name+"/"+v.name, func(b *testing.B) {
+			sink := 0
+			for i := 0; i < b.N; i++ {
+				sink += v.scan()
+			}
+			_ = sink
+		})
+	}
+}

@@ -2,6 +2,7 @@ package cftree
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -31,66 +32,77 @@ func cfBitsEqual(a, b *cf.CF) bool {
 // every split, absorb, and refinement decision flows through
 // closestEntry, any divergence between the fused block scan and the
 // per-entry kernel loop — even a single ULP or a tie broken differently —
-// would cascade into different trees and fail here.
+// would cascade into different trees and fail here. It covers every
+// metric, cosine included, under both CF cores.
 func TestScanModesBuildIdenticalTrees(t *testing.T) {
-	for _, m := range []cf.Metric{cf.D0, cf.D1, cf.D2, cf.D3, cf.D4} {
-		for _, dim := range []int{2, 7} {
-			p := defaultParams()
-			p.Metric = m
-			p.Dim = dim
-			p.Threshold = 0.8
-
-			p.Scan = ScanFused
-			fused := mustTree(t, p)
-			p.Scan = ScanEntries
-			ref := mustTree(t, p)
-
-			rng := rand.New(rand.NewSource(int64(100*int(m) + dim)))
-			x := make([]float64, dim)
-			for i := 0; i < 800; i++ {
-				for j := range x {
-					x[j] = rng.NormFloat64()*2 + float64(rng.Intn(4))*10
-				}
-				ent := cf.FromPoint(vec.Vector(x).Clone())
-				fused.Insert(ent.Clone())
-				ref.Insert(ent)
-
-				if i == 500 {
-					// Rebuild both at the same larger threshold; the new
-					// trees must keep matching (Rebuild re-inserts through
-					// the same descent).
-					var err error
-					fused, _, err = fused.Rebuild(p.Threshold*2, nil)
-					if err != nil {
-						t.Fatalf("metric %v dim %d: fused rebuild: %v", m, dim, err)
-					}
-					ref, _, err = ref.Rebuild(p.Threshold*2, nil)
-					if err != nil {
-						t.Fatalf("metric %v dim %d: ref rebuild: %v", m, dim, err)
-					}
-				}
-			}
-
-			if fused.Height() != ref.Height() || fused.Nodes() != ref.Nodes() ||
-				fused.LeafEntries() != ref.LeafEntries() || fused.Points() != ref.Points() {
-				t.Fatalf("metric %v dim %d: shape diverged: fused (h=%d n=%d e=%d p=%d) vs entries (h=%d n=%d e=%d p=%d)",
-					m, dim, fused.Height(), fused.Nodes(), fused.LeafEntries(), fused.Points(),
-					ref.Height(), ref.Nodes(), ref.LeafEntries(), ref.Points())
-			}
-			fc, rc := fused.LeafCFs(), ref.LeafCFs()
-			if len(fc) != len(rc) {
-				t.Fatalf("metric %v dim %d: %d vs %d leaf CFs", m, dim, len(fc), len(rc))
-			}
-			for i := range fc {
-				if !cfBitsEqual(&fc[i], &rc[i]) {
-					t.Fatalf("metric %v dim %d: leaf CF %d differs:\nfused:   %v\nentries: %v",
-						m, dim, i, fc[i].String(), rc[i].String())
-				}
-			}
-			if err := fused.CheckInvariants(); err != nil {
-				t.Fatalf("metric %v dim %d: fused invariants: %v", m, dim, err)
+	for _, kind := range []cf.CoreKind{cf.CoreClassic, cf.CoreBETULA} {
+		for _, m := range []cf.Metric{cf.D0, cf.D1, cf.D2, cf.D3, cf.D4, cf.DCos} {
+			for _, dim := range []int{2, 7} {
+				scanModesBuildIdenticalTrees(t, kind, m, dim)
 			}
 		}
+	}
+}
+
+func scanModesBuildIdenticalTrees(t *testing.T, kind cf.CoreKind, m cf.Metric, dim int) {
+	t.Helper()
+	p := defaultParams()
+	p.Metric = m
+	p.Dim = dim
+	p.Threshold = 0.8
+	p.Core = kind
+	core := cf.CoreFor(kind)
+	label := fmt.Sprintf("metric %v core %v dim %d", m, kind, dim)
+
+	p.Scan = ScanFused
+	fused := mustTree(t, p)
+	p.Scan = ScanEntries
+	ref := mustTree(t, p)
+
+	rng := rand.New(rand.NewSource(int64(100*int(m) + dim + 1000*int(kind))))
+	x := make([]float64, dim)
+	for i := 0; i < 800; i++ {
+		for j := range x {
+			x[j] = rng.NormFloat64()*2 + float64(rng.Intn(4))*10
+		}
+		ent := core.FromPoint(vec.Vector(x).Clone())
+		fused.Insert(ent.Clone())
+		ref.Insert(ent)
+
+		if i == 500 {
+			// Rebuild both at the same larger threshold; the new trees
+			// must keep matching (Rebuild re-inserts through the same
+			// descent).
+			var err error
+			fused, _, err = fused.Rebuild(p.Threshold*2, nil)
+			if err != nil {
+				t.Fatalf("%s: fused rebuild: %v", label, err)
+			}
+			ref, _, err = ref.Rebuild(p.Threshold*2, nil)
+			if err != nil {
+				t.Fatalf("%s: ref rebuild: %v", label, err)
+			}
+		}
+	}
+
+	if fused.Height() != ref.Height() || fused.Nodes() != ref.Nodes() ||
+		fused.LeafEntries() != ref.LeafEntries() || fused.Points() != ref.Points() {
+		t.Fatalf("%s: shape diverged: fused (h=%d n=%d e=%d p=%d) vs entries (h=%d n=%d e=%d p=%d)",
+			label, fused.Height(), fused.Nodes(), fused.LeafEntries(), fused.Points(),
+			ref.Height(), ref.Nodes(), ref.LeafEntries(), ref.Points())
+	}
+	fc, rc := fused.LeafCFs(), ref.LeafCFs()
+	if len(fc) != len(rc) {
+		t.Fatalf("%s: %d vs %d leaf CFs", label, len(fc), len(rc))
+	}
+	for i := range fc {
+		if !cfBitsEqual(&fc[i], &rc[i]) {
+			t.Fatalf("%s: leaf CF %d differs:\nfused:   %v\nentries: %v",
+				label, i, fc[i].String(), rc[i].String())
+		}
+	}
+	if err := fused.CheckInvariants(); err != nil {
+		t.Fatalf("%s: fused invariants: %v", label, err)
 	}
 }
 

@@ -95,3 +95,46 @@ func TestEngineAddDoesNotRetainScratch(t *testing.T) {
 		t.Fatalf("linear sum %g, want %g; spilled entries were aliased", ls0, want)
 	}
 }
+
+// TestEngineAddPointsAbsorbAllocs extends the Engine.Add gate to the
+// Phase 1 data scan of Run and RunParallel: addPoints, with its grouped
+// look-ahead loads (vec.LoadAhead), must not allocate on the absorb path
+// either. Static half: addPoints and vec.LoadAhead carry
+// //birchlint:hotpath.
+func TestEngineAddPointsAbsorbAllocs(t *testing.T) {
+	cfg := DefaultConfig(2, 4)
+	cfg.Memory = 4 << 20
+	cfg.InitialThreshold = 50
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if err := eng.Add(vec.Of(float64(i%8)*1000, float64(i/8)*1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Three look-ahead groups and a ragged tail of one fixed point.
+	batch := make([]vec.Vector, 3*vec.LookAheadGroup+5)
+	for i := range batch {
+		batch[i] = vec.Of(3000, 4000)
+	}
+	for i := 0; i < 5; i++ {
+		if err := eng.addPoints(batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	leavesBefore := eng.Tree().LeafEntries()
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := eng.addPoints(batch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got := eng.Tree().LeafEntries(); got != leavesBefore {
+		t.Fatalf("leaf entries grew %d -> %d; measured inserts were not absorbs", leavesBefore, got)
+	}
+	if allocs > 0 {
+		t.Fatalf("Engine.addPoints absorb path allocates %.1f allocs/op, want 0", allocs)
+	}
+}

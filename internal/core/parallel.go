@@ -83,11 +83,9 @@ func RunParallel(points []vec.Vector, cfg Config, workers int) (*Result, error) 
 				return
 			}
 			eng.SetExpectedN(int64(len(shard)))
-			for _, p := range shard {
-				if err := eng.Add(p); err != nil {
-					outs[w].err = err
-					return
-				}
+			if err := eng.addPoints(shard); err != nil {
+				outs[w].err = err
+				return
 			}
 			outs[w].stats = eng.FinishPhase1()
 			outs[w].sum = Summary{

@@ -31,6 +31,10 @@ type Engine struct {
 	// through, so the absorb path performs no heap allocation.
 	scratch cf.CF
 
+	// ahead keeps the look-ahead loads of addPoints live (vec.LoadAhead).
+	// Its value means nothing.
+	ahead uint64
+
 	// The monotone counters are atomics so an observer goroutine (the
 	// streaming engine's Stats path) can sample them while the owner
 	// goroutine streams points through Add. Everything else on Engine
@@ -122,6 +126,29 @@ func (e *Engine) Add(p vec.Vector) error {
 	}
 	e.scratch.SetPoint(p)
 	return e.AddCF(e.scratch)
+}
+
+// addPoints is the Phase 1 data scan of Run and of every RunParallel
+// shard: it streams points through Add in order and stops at the first
+// error. Before each group of vec.LookAheadGroup points it loads the
+// group after it (vec.LoadAhead), so the cache misses of a large,
+// shuffled input overlap instead of stalling one insert each. The loads
+// change no state but e.ahead, so the tree and every error are exactly
+// those of a plain Add loop.
+//
+//birchlint:hotpath
+func (e *Engine) addPoints(points []vec.Vector) error {
+	const g = vec.LookAheadGroup
+	for lo := 0; lo < len(points); lo += g {
+		hi := min(lo+g, len(points))
+		e.ahead ^= vec.LoadAhead(points[hi:min(hi+g, len(points))])
+		for _, p := range points[lo:hi] {
+			if err := e.Add(p); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // AddSparse streams one sparse data point into Phase 1 — the CSR

@@ -29,10 +29,8 @@ func Run(points []vec.Vector, cfg Config) (*Result, error) {
 	total := time.Now()
 
 	// Phase 1: scan the data once, building the CF tree.
-	for _, p := range points {
-		if err := eng.Add(p); err != nil {
-			return nil, err
-		}
+	if err := eng.addPoints(points); err != nil {
+		return nil, err
 	}
 
 	res, err := Finish(eng, points)

@@ -39,6 +39,10 @@ type Assigner struct {
 	labels    []int
 	sums      []cf.CF // K final per-cluster sums
 	chunkSums []cf.CF // numChunks × K partial sums, flat, chunk-major
+	// ahead has one slot per chunk that keeps the chunk's look-ahead
+	// loads live (vec.LoadAhead); each chunk writes only its own slot,
+	// so parallel chunks never share a word. The values mean nothing.
+	ahead []uint64
 }
 
 // Assign labels every point with its nearest centroid and returns the
@@ -68,6 +72,10 @@ func (a *Assigner) Assign(points, centroids []vec.Vector, discardBeyond float64,
 		a.labels = make([]int, n)
 	}
 	a.labels = a.labels[:n]
+	if cap(a.ahead) < chunks {
+		a.ahead = make([]uint64, chunks)
+	}
+	a.ahead = a.ahead[:chunks]
 	a.sums = growCFs(a.sums, k, dim, a.Core)
 	a.chunkSums = growCFs(a.chunkSums, chunks*k, dim, a.Core)
 	a.finder.Reset(centroids, FinderAuto)
@@ -102,7 +110,10 @@ func (a *Assigner) Assign(points, centroids []vec.Vector, discardBeyond float64,
 
 // assignChunk labels points[lo:hi] and accumulates their mass into chunk
 // c's private per-cluster partial sums. A plain method rather than a
-// closure so the inline one-worker path allocates nothing.
+// closure so the inline one-worker path allocates nothing. Like the
+// Phase 1 scan it loads each next group of vec.LookAheadGroup points
+// (within the chunk) before working through the current one; the loads
+// change nothing but the chunk's ahead slot.
 //
 //birchlint:hotpath
 func (a *Assigner) assignChunk(points []vec.Vector, c, lo, hi, k int, limit float64) {
@@ -110,16 +121,23 @@ func (a *Assigner) assignChunk(points []vec.Vector, c, lo, hi, k int, limit floa
 	for j := range sums {
 		sums[j].Reset()
 	}
-	for i := lo; i < hi; i++ {
-		p := points[i]
-		best, bestD := a.finder.Nearest(p)
-		if bestD > limit {
-			a.labels[i] = -1
-			continue
+	const g = vec.LookAheadGroup
+	var ahead uint64
+	for glo := lo; glo < hi; glo += g {
+		ghi := min(glo+g, hi)
+		ahead ^= vec.LoadAhead(points[ghi:min(ghi+g, hi)])
+		for i := glo; i < ghi; i++ {
+			p := points[i]
+			best, bestD := a.finder.Nearest(p)
+			if bestD > limit {
+				a.labels[i] = -1
+				continue
+			}
+			a.labels[i] = best
+			sums[best].AddPoint(p)
 		}
-		a.labels[i] = best
-		sums[best].AddPoint(p)
 	}
+	a.ahead[c] = ahead
 }
 
 // growCFs returns a slice of n empty CFs of the given dimension and core

@@ -142,7 +142,8 @@ func TestHotPathAnnotationCoverage(t *testing.T) {
 	}
 	// One entry per AllocsPerRun gate (see the matching test comments):
 	//   cftree/alloc_test.go  TestInsertAbsorbAllocs, TestInsertAppendAllocsBounded
-	//   core/alloc_test.go    TestEngineAddAbsorbAllocs
+	//   core/alloc_test.go    TestEngineAddAbsorbAllocs,
+	//                         TestEngineAddPointsAbsorbAllocs
 	//   kmeans/parallel_test.go TestAssignSteadyStateAllocs
 	//   cf/flatscan_test.go   TestBlockSetPointZeroAlloc
 	//   stream/snapshot_test.go TestSnapshotClassifyAllocs
@@ -151,11 +152,16 @@ func TestHotPathAnnotationCoverage(t *testing.T) {
 	//   cf/sparse_test.go     TestSetPointSparseMatchesSetPoint,
 	//                         TestBlockSetPointSparseBitIdentical
 	//   server/sparse_wire_test.go TestSparseWireAllocs
+	// The dense fused scans are reached through the tree and assignment
+	// gates (TestInsertAbsorbAllocs, TestAssignSteadyStateAllocs).
 	for _, want := range []string{
 		"birch/internal/cftree.Tree.Insert",
 		"birch/internal/cftree.Tree.InsertNoSplit",
 		"birch/internal/cftree.Tree.insert",
 		"birch/internal/core.Engine.Add",
+		"birch/internal/core.Engine.addPoints",
+		"birch/internal/vec.LoadAhead",
+		"birch/internal/kmeans.Assigner.assignChunk",
 		"birch/internal/kmeans.Assigner.Assign",
 		"birch/internal/cf.Block.SetPoint",
 		"birch/internal/cf.Block.AppendPoint",
@@ -176,6 +182,14 @@ func TestHotPathAnnotationCoverage(t *testing.T) {
 		"birch/internal/cf.scanCosSparse",
 		"birch/internal/cf.scanD2Sparse",
 		"birch/internal/cf.scanCos",
+		"birch/internal/cf.scanD0",
+		"birch/internal/cf.scanD1",
+		"birch/internal/cf.scanD2",
+		"birch/internal/cf.scanD3",
+		"birch/internal/cf.scanD4",
+		"birch/internal/cf.scanD2b",
+		"birch/internal/cf.scanD3b",
+		"birch/internal/cf.ScanNearestX0",
 		"birch/internal/server.AppendSparsePointsFrame",
 		"birch/internal/server.DecodeSparsePointsInto",
 	} {

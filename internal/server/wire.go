@@ -116,6 +116,21 @@ func appendU64(dst []byte, v uint64) []byte {
 	return dst
 }
 
+// reserve returns dst with room for n more bytes, growing it in one
+// allocation when it lacks them: an encoder handed a nil or short buffer
+// then allocates once for the whole frame instead of once per append
+// that outgrows the buffer. Against a warm buffer it does nothing.
+//
+//birchlint:hotpath
+func reserve(dst []byte, n int) []byte {
+	if cap(dst)-len(dst) < n {
+		grown := make([]byte, len(dst), len(dst)+n)
+		copy(grown, dst)
+		dst = grown
+	}
+	return dst
+}
+
 // beginFrame reserves the 9-byte frame header at dst's tail and returns
 // the extended buffer plus the frame's start offset for finishFrame.
 //
@@ -141,10 +156,11 @@ func finishFrame(dst []byte, start int) []byte {
 
 // AppendPointsFrame appends one MsgPoints frame carrying pts to dst.
 // Every point must have dimension dim. Zero allocations against a
-// buffer with sufficient capacity.
+// buffer with sufficient capacity, one otherwise.
 //
 //birchlint:hotpath
 func AppendPointsFrame(dst []byte, pts []vec.Vector, dim int) ([]byte, error) {
+	dst = reserve(dst, frameHeader+8+8*dim*len(pts))
 	dst, start := beginFrame(dst, MsgPoints)
 	dst = appendU32(dst, uint32(len(pts)))
 	dst = appendU32(dst, uint32(dim))
@@ -161,10 +177,15 @@ func AppendPointsFrame(dst []byte, pts []vec.Vector, dim int) ([]byte, error) {
 
 // AppendSparsePointsFrame appends one MsgSparsePoints frame carrying sps
 // to dst. Every point must have dimension dim. Zero allocations against
-// a buffer with sufficient capacity.
+// a buffer with sufficient capacity, one otherwise.
 //
 //birchlint:hotpath
 func AppendSparsePointsFrame(dst []byte, sps []vec.Sparse, dim int) ([]byte, error) {
+	size := frameHeader + 8
+	for i := range sps {
+		size += 4 + 4*len(sps[i].Idx) + 8*len(sps[i].Val)
+	}
+	dst = reserve(dst, size)
 	dst, start := beginFrame(dst, MsgSparsePoints)
 	dst = appendU32(dst, uint32(len(sps)))
 	dst = appendU32(dst, uint32(dim))
@@ -260,13 +281,15 @@ func DecodeSparsePointsInto(payload []byte, wantDim int, idxB []int32, valB []fl
 }
 
 // AppendClassifyResultFrame appends one MsgClassifyResult frame pairing
-// idx[i] with dist[i]. The slices must be the same length.
+// idx[i] with dist[i]. The slices must be the same length. Zero
+// allocations against a buffer with sufficient capacity, one otherwise.
 //
 //birchlint:hotpath
 func AppendClassifyResultFrame(dst []byte, idx []int, dist []float64) []byte {
 	if len(idx) != len(dist) {
 		panic("server: AppendClassifyResultFrame length mismatch")
 	}
+	dst = reserve(dst, frameHeader+4+12*len(idx))
 	dst, start := beginFrame(dst, MsgClassifyResult)
 	dst = appendU32(dst, uint32(len(idx)))
 	for i := range idx {
