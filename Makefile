@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build vet lint lint-escapes test test-stream test-tail test-crash race fuzz-smoke bench bench-scan bench-sparse bench-tail bench-wal bench-serve bench-smoke serve-smoke sparse-smoke check clean
+.PHONY: all build vet lint lint-escapes test test-stream test-tail test-crash race fuzz-smoke bench bench-scan bench-sparse bench-tail bench-wal bench-smoke check clean
 
 # Randomized kill points per core cell of the crash-recovery battery;
 # 52 × 2 cells ≥ the 100-kill bar CI gates on.
@@ -71,12 +71,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/pager
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/server
 
-# Full benchmark harness: fixed-seed Phase 1 and pipeline workloads,
-# written to BENCH_phase1.json / BENCH_pipeline.json in the repo root.
-# Pass BENCH_BASELINE=<dir> to emit before/after ratios against a saved
-# pair of reports.
+# Full benchmark harness: every suite, written to the repo root as
+# BENCH_scan.json, BENCH_stream.json, BENCH_tail.json, BENCH_wal.json and
+# BENCH_sparse.json, all at one commit. End-to-end numbers come from
+# perfbench (bash perfbench/run.sh).
 bench:
-	$(GO) run ./cmd/birchbench -out . $(if $(BENCH_BASELINE),-baseline $(BENCH_BASELINE))
+	$(GO) run ./cmd/birchbench -out .
 
 # Descent-scan workloads only: fused block scan vs the per-entry kernel
 # loop on converged trees, written to BENCH_scan.json in the repo root.
@@ -92,12 +92,6 @@ bench-scan:
 bench-sparse:
 	$(GO) run ./cmd/birchbench -only sparse -out .
 
-# Reduced-size sparse run for CI: same workloads and the same
-# bit-parity self-checks at throwaway measurement sizes. Only the exit
-# code matters.
-sparse-smoke:
-	$(GO) run ./cmd/birchbench -quick -only sparse -out $(or $(BENCH_SMOKE_DIR),/tmp/birchbench-smoke)
-
 # Parallel-tail workloads only: Phase 4 refinement passes (reference vs
 # chunked Assigner at 1 and 8 workers) and the classify serving path
 # (brute/fused/kd/batch per-query cost), written to BENCH_tail.json in
@@ -111,23 +105,10 @@ bench-tail:
 bench-wal:
 	$(GO) run ./cmd/birchbench -only wal -out .
 
-# Network-serving workloads only (DESIGN.md §15): open-loop QPS ramps to
-# the saturation knee for JSON single-point and binary batched classify,
-# a closed-loop batch-size sweep, overload shedding (429), and graceful-
-# drain conservation, written to BENCH_serve.json in the repo root.
-bench-serve:
-	$(GO) run ./cmd/birchbench -only serve -out .
-
-# Reduced-size serve run for CI: same workloads and correctness
-# self-checks (knee found, 429s shed, drain exact) at throwaway
-# measurement durations. Performance numbers are noise on shared
-# runners; only the exit code matters.
-serve-smoke:
-	$(GO) run ./cmd/birchbench -quick -only serve -out $(or $(BENCH_SMOKE_DIR),/tmp/birchbench-smoke)
-
-# Reduced-size run for CI: exercises the harness end to end (including
-# its JSON self-validation) without meaningful measurement time. The
-# numbers from shared CI runners are noise; only the exit code matters.
+# Reduced-size run for CI: runs every suite end to end, including the
+# bit-parity checks and the JSON self-validation, without meaningful
+# measurement time. The numbers from shared CI runners are noise; only
+# the exit code matters.
 bench-smoke:
 	$(GO) run ./cmd/birchbench -quick -reps 1 -out $(or $(BENCH_SMOKE_DIR),/tmp/birchbench-smoke)
 

@@ -68,7 +68,7 @@ func descentSpecs(quick bool) []descentSpec {
 // FusedVsEntryScan (< 1 means the fused scan is faster). Both modes must
 // agree on the resulting tree — the harness fatals on any divergence,
 // so the speedup can never come from doing different work.
-func runDescentWorkloads(quick bool, reps int) map[string]Workload {
+func runDescentWorkloads(quick bool, reps, _ int) map[string]Workload {
 	out := make(map[string]Workload)
 	for _, spec := range descentSpecs(quick) {
 		pts := blobs(spec.Seed, spec.Dim, 16, spec.N)
@@ -87,7 +87,7 @@ func runDescentWorkloads(quick bool, reps int) map[string]Workload {
 		// equally instead of biasing whichever mode ran later.
 		for r := 0; r < reps; r++ {
 			for mi, mode := range []cftree.ScanMode{cftree.ScanFused, cftree.ScanEntries} {
-				tr := newDescentTree(spec, mode)
+				tr := newTree(spec.Dim, spec.PageSize, spec.Threshold, spec.Metric, mode)
 				for i := range ents {
 					tr.Insert(ents[i].Clone()) // warm-up: build the tree
 				}
@@ -118,22 +118,23 @@ func runDescentWorkloads(quick bool, reps int) map[string]Workload {
 	return out
 }
 
-// newDescentTree builds an empty tree for the spec with page-derived
-// fan-outs and an effectively unlimited memory budget (no rebuilds; the
-// workload isolates descent, not threshold escalation).
-func newDescentTree(spec descentSpec, mode cftree.ScanMode) *cftree.Tree {
+// newTree builds an empty tree with page-derived fan-outs, a diameter
+// threshold and an effectively unlimited memory budget (no rebuilds; the
+// descent and sparse workloads isolate descent, not threshold
+// escalation).
+func newTree(dim, pageSize int, threshold float64, metric cf.Metric, mode cftree.ScanMode) *cftree.Tree {
 	pgr := pager.MustNew(pager.Config{
-		PageSize:     spec.PageSize,
+		PageSize:     pageSize,
 		MemoryBudget: 1 << 30,
 		DiskBudget:   1 << 20,
 	})
 	tr, err := cftree.New(cftree.Params{
-		Dim:               spec.Dim,
-		Branching:         pager.BranchingFactor(spec.PageSize, spec.Dim),
-		LeafCap:           pager.LeafCapacity(spec.PageSize, spec.Dim),
-		Threshold:         spec.Threshold,
+		Dim:               dim,
+		Branching:         pager.BranchingFactor(pageSize, dim),
+		LeafCap:           pager.LeafCapacity(pageSize, dim),
+		Threshold:         threshold,
 		ThresholdKind:     cf.ThresholdDiameter,
-		Metric:            spec.Metric,
+		Metric:            metric,
 		MergingRefinement: true,
 		Scan:              mode,
 	}, pgr)

@@ -1,32 +1,34 @@
-// Command birchbench is the repo's performance-trajectory harness: it runs
-// fixed-seed Phase 1 and full-pipeline workloads and writes the measured
-// per-point costs to BENCH_phase1.json and BENCH_pipeline.json in the repo
-// root, so every PR leaves behind a comparable record of where the hot
-// path stands.
+// Command birchbench writes the BENCH_*.json reports at the repo root.
+// Each report backs a constant or a comparison that nothing else in the
+// repository measures:
 //
-// Phase 1 workloads stream deterministic Gaussian-blob points through
-// Engine.Add (the paper's single-scan tree build, Section 4.2) and report
-// ns/point, allocs/point and B/point from runtime.MemStats deltas plus the
-// resulting subcluster counts. Pipeline workloads time sequential Run
-// against RunParallel on a DS1-style base workload (Section 6.2) and
-// report the end-to-end speedup at the configured worker count.
+//   - scan (BENCH_scan.json): the fused four-lane descent scan against
+//     the per-entry kernel loop on converged trees;
+//   - stream (BENCH_stream.json): the snapshot-serving stream engine
+//     against one engine behind a mutex, under the same ingest and
+//     classify load;
+//   - sparse (BENCH_sparse.json): the sparse gather kernels against the
+//     dense fused scan, and the density sweeps behind
+//     cf.SparseGatherMaxDensity;
+//   - tail (BENCH_tail.json): the Phase 4 Assigner against its reference
+//     and the classify finders behind kmeans.FusedKDThreshold;
+//   - wal (BENCH_wal.json): WAL ingest overhead and warm-restart replay.
 //
-// All workloads are seeded; the JSON records Go version, GOMAXPROCS, CPU
-// count and the git commit so trajectory comparisons across PRs are
-// apples-to-apples. Pass -baseline <dir> holding a previous run's files to
-// embed them and a per-workload comparison into the new output.
+// End-to-end numbers (birch.Cluster on the paper's datasets, a 1M-point
+// scale-up, durable serving) come from perfbench, not from here.
 //
-// After writing, the harness re-reads both files and verifies that they
-// parse and contain every expected workload key; a failure exits non-zero.
-// CI's bench-smoke job relies on this self-check (it runs -quick, which
-// shrinks every workload ~10x but keeps the same keys).
+// Every workload is seeded, and each report records the Go version,
+// GOMAXPROCS, CPU count and git commit. After writing a report the
+// harness re-reads it and checks that every expected workload key is
+// present with sane measurements; a failure exits non-zero. -quick
+// shrinks every workload about 10x but keeps the same keys, which is
+// what the non-gating CI smoke job runs.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -35,8 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"birch/internal/core"
-	"birch/internal/dataset"
 	"birch/internal/vec"
 )
 
@@ -59,22 +59,18 @@ type Workload struct {
 
 	// The per-point cost columns are omitempty because not every report
 	// measures them: the concurrent-ingest workloads (BENCH_stream.json)
-	// report throughput and latency percentiles instead, and previously
-	// serialized these as dead `"ns_per_point": 0` entries.
+	// report throughput and latency percentiles instead.
 	NsPerPoint     float64 `json:"ns_per_point,omitempty"`
 	AllocsPerPoint float64 `json:"allocs_per_point,omitempty"`
 	BytesPerPoint  float64 `json:"bytes_per_point,omitempty"`
 
-	// LeafEntries is the subcluster count Phase 1 handed onward; Rebuilds
-	// counts threshold escalations. Both double as determinism probes: they
-	// must not drift between runs of the same seed.
+	// LeafEntries is the subcluster count of the measured tree; both
+	// modes of a pair must agree on it, so it doubles as a determinism
+	// probe.
 	LeafEntries int `json:"leaf_entries,omitempty"`
-	Rebuilds    int `json:"rebuilds,omitempty"`
 
-	// Workers and SpeedupVsSeq are set only on parallel pipeline workloads.
-	Workers      int     `json:"workers,omitempty"`
-	SpeedupVsSeq float64 `json:"speedup_vs_seq,omitempty"`
-	Clusters     int     `json:"clusters,omitempty"`
+	// Workers is the writer or worker count of a concurrent workload.
+	Workers int `json:"workers,omitempty"`
 
 	// Concurrent-ingest (BENCH_stream.json) fields: wall-clock ingest
 	// throughput across all writers, sampled single-insert latency
@@ -139,42 +135,43 @@ type Workload struct {
 	BatchNsPerQuery float64 `json:"batch_ns_per_query,omitempty"`
 }
 
-// Comparison is the per-workload baseline-vs-current delta.
-type Comparison struct {
-	NsRatio     float64 `json:"ns_ratio"`     // current / baseline, < 1 is faster
-	AllocsRatio float64 `json:"allocs_ratio"` // current / baseline, < 1 is leaner
-	BytesRatio  float64 `json:"bytes_ratio"`
-}
-
 // Report is the schema of each BENCH_*.json file.
 type Report struct {
-	Meta       Meta                  `json:"meta"`
-	Workloads  map[string]Workload   `json:"workloads"`
-	Baseline   map[string]Workload   `json:"baseline,omitempty"`
-	Comparison map[string]Comparison `json:"comparison,omitempty"`
+	Meta      Meta                `json:"meta"`
+	Workloads map[string]Workload `json:"workloads"`
 }
 
-const (
-	phase1File   = "BENCH_phase1.json"
-	pipelineFile = "BENCH_pipeline.json"
-	// streamFile (BENCH_stream.json) is declared in stream.go and
-	// scanFile (BENCH_scan.json) in descent.go.
-)
+// suite is one report: run measures its workloads, and verify checks the
+// report re-read from file for every expected key.
+type suite struct {
+	name   string
+	file   string
+	run    func(quick bool, reps, workers int) map[string]Workload
+	verify func(rep *Report, quick bool) error
+}
+
+// suites lists every report the harness writes, in the order -only all
+// runs them.
+var suites = []suite{
+	{"scan", scanFile, runDescentWorkloads, verifyScan},
+	{"stream", streamFile, runStreamWorkloads, verifyStream},
+	{"tail", tailFile, runTailWorkloads, verifyTail},
+	{"wal", walFile, runWALWorkloads, verifyWAL},
+	{"sparse", sparseFile, runSparseWorkloads, verifySparse},
+}
 
 func main() {
 	quick := flag.Bool("quick", false, "shrink workloads ~10x (CI smoke)")
 	outDir := flag.String("out", ".", "directory for BENCH_*.json")
-	baseDir := flag.String("baseline", "", "directory holding a previous run's BENCH_*.json to compare against")
 	reps := flag.Int("reps", 3, "repetitions per workload (best-of)")
-	workers := flag.Int("workers", 8, "worker count for the parallel pipeline workload")
-	only := flag.String("only", "all", `run a subset: "all", "scan" (descent-scan workloads only), "sparse" (sparse fast-path workloads only), "tail" (parallel-tail workloads only), "wal" (durability workloads only), "stream" (concurrent-ingest workloads only) or "serve" (network serving workloads only)`)
+	workers := flag.Int("workers", 8, "worker count for the parallel-tail workloads")
+	only := flag.String("only", "all", `run one suite: "all", "scan", "stream", "tail", "wal" or "sparse"`)
 	flag.Parse()
-	switch *only {
-	case "all", "scan", "sparse", "tail", "wal", "stream", "serve":
-	default:
-		fatal(fmt.Errorf("unknown -only value %q (want all, scan, sparse, tail, wal, stream or serve)", *only))
-	}
 
+	run, err := selectSuites(*only)
+	if err != nil {
+		fatal(err)
+	}
 	meta := Meta{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
@@ -183,259 +180,40 @@ func main() {
 		Quick:      *quick,
 		Generated:  "cmd/birchbench",
 	}
-
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
 		fatal(err)
 	}
+	for _, s := range run {
+		workloads := s.run(*quick, *reps, *workers)
+		path := filepath.Join(*outDir, s.file)
+		if err := writeReport(path, Report{Meta: meta, Workloads: workloads}); err != nil {
+			fatal(err)
+		}
+		if err := verifyReport(path, s, *quick); err != nil {
+			fatal(err)
+		}
+		fmt.Printf("birchbench OK: %d %s workloads -> %s\n", len(workloads), s.name, *outDir)
+	}
+}
 
-	if *only == "sparse" {
-		sparse := runSparseWorkloads(*quick, *reps)
-		if err := writeReport(filepath.Join(*outDir, sparseFile), meta, sparse, *baseDir); err != nil {
-			fatal(err)
+// selectSuites resolves the -only value to the suites it names.
+func selectSuites(only string) ([]suite, error) {
+	if only == "all" {
+		return suites, nil
+	}
+	names := make([]string, len(suites))
+	for i, s := range suites {
+		if s.name == only {
+			return []suite{s}, nil
 		}
-		if err := verifySparse(*outDir, *quick); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("birchbench OK: %d sparse workloads -> %s\n", len(sparse), *outDir)
-		return
+		names[i] = s.name
 	}
-
-	if *only == "wal" {
-		wal := runWALWorkloads(*quick, *reps)
-		if err := writeReport(filepath.Join(*outDir, walFile), meta, wal, *baseDir); err != nil {
-			fatal(err)
-		}
-		if err := verifyWAL(*outDir); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("birchbench OK: %d wal workloads -> %s\n", len(wal), *outDir)
-		return
-	}
-
-	if *only == "stream" {
-		streamed := runStreamWorkloads(*quick, *reps)
-		if err := writeReport(filepath.Join(*outDir, streamFile), meta, streamed, *baseDir); err != nil {
-			fatal(err)
-		}
-		if err := verifyStream(*outDir); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("birchbench OK: %d stream workloads -> %s\n", len(streamed), *outDir)
-		return
-	}
-
-	if *only == "serve" {
-		serve := runServeWorkloads(*quick)
-		if err := writeServeReport(filepath.Join(*outDir, serveFile), meta, serve); err != nil {
-			fatal(err)
-		}
-		if err := verifyServe(*outDir, *quick); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("birchbench OK: %d serve workloads -> %s\n", len(serve), *outDir)
-		return
-	}
-
-	if *only == "tail" {
-		tail := runTailWorkloads(*quick, *reps, *workers)
-		if err := writeReport(filepath.Join(*outDir, tailFile), meta, tail, *baseDir); err != nil {
-			fatal(err)
-		}
-		if err := verifyTail(*outDir, *quick); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("birchbench OK: %d tail workloads -> %s\n", len(tail), *outDir)
-		return
-	}
-
-	scan := runDescentWorkloads(*quick, *reps)
-	if err := writeReport(filepath.Join(*outDir, scanFile), meta, scan, *baseDir); err != nil {
-		fatal(err)
-	}
-	if *only == "scan" {
-		if err := verifyScan(*outDir, *quick); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("birchbench OK: %d scan workloads -> %s\n", len(scan), *outDir)
-		return
-	}
-
-	phase1 := runPhase1Workloads(*quick, *reps)
-	pipeline := runPipelineWorkloads(*quick, *reps, *workers)
-	streamed := runStreamWorkloads(*quick, *reps)
-	tail := runTailWorkloads(*quick, *reps, *workers)
-	wal := runWALWorkloads(*quick, *reps)
-	serve := runServeWorkloads(*quick)
-	sparse := runSparseWorkloads(*quick, *reps)
-
-	if err := writeReport(filepath.Join(*outDir, phase1File), meta, phase1, *baseDir); err != nil {
-		fatal(err)
-	}
-	if err := writeReport(filepath.Join(*outDir, pipelineFile), meta, pipeline, *baseDir); err != nil {
-		fatal(err)
-	}
-	if err := writeReport(filepath.Join(*outDir, streamFile), meta, streamed, *baseDir); err != nil {
-		fatal(err)
-	}
-	if err := writeReport(filepath.Join(*outDir, tailFile), meta, tail, *baseDir); err != nil {
-		fatal(err)
-	}
-	if err := writeReport(filepath.Join(*outDir, walFile), meta, wal, *baseDir); err != nil {
-		fatal(err)
-	}
-	if err := writeServeReport(filepath.Join(*outDir, serveFile), meta, serve); err != nil {
-		fatal(err)
-	}
-	if err := writeReport(filepath.Join(*outDir, sparseFile), meta, sparse, *baseDir); err != nil {
-		fatal(err)
-	}
-	if err := verify(*outDir, *quick); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("birchbench OK: %d phase1 + %d pipeline + %d stream + %d scan + %d sparse + %d tail + %d wal + %d serve workloads -> %s\n",
-		len(phase1), len(pipeline), len(streamed), len(scan), len(sparse), len(tail), len(wal), len(serve), *outDir)
+	return nil, fmt.Errorf("unknown -only value %q (want all, %s)", only, strings.Join(names, ", "))
 }
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "birchbench:", err)
 	os.Exit(1)
-}
-
-// phase1Specs returns the insert workloads: varying dimensionality under a
-// roomy budget (absorb-dominated steady state) plus the paper's default
-// 80 KB budget (rebuild pressure).
-type phase1Spec struct {
-	Name   string
-	Dim    int
-	N      int
-	Memory int
-	// Threshold is T0. The roomy workloads set it above the expected
-	// within-cluster diameter so the absorb path (the steady state of a
-	// converged tree) dominates; the 80 KB workload keeps the paper's
-	// T0 = 0 and measures the rebuild-escalation regime instead.
-	Threshold float64
-	Seed      int64
-}
-
-func phase1Specs(quick bool) []phase1Spec {
-	div := 1
-	if quick {
-		div = 10
-	}
-	return []phase1Spec{
-		{"insert_d2_n50k", 2, 50000 / div, 4 << 20, 4, 101},
-		{"insert_d8_n20k", 8, 20000 / div, 4 << 20, 8, 102},
-		{"insert_d32_n10k", 32, 10000 / div, 8 << 20, 16, 103},
-		{"insert_d2_n50k_mem80k", 2, 50000 / div, 80 << 10, 0, 104},
-	}
-}
-
-func runPhase1Workloads(quick bool, reps int) map[string]Workload {
-	out := make(map[string]Workload)
-	for _, spec := range phase1Specs(quick) {
-		pts := blobs(spec.Seed, spec.Dim, 16, spec.N)
-		cfg := core.DefaultConfig(spec.Dim, 16)
-		cfg.Memory = spec.Memory
-		cfg.InitialThreshold = spec.Threshold
-		cfg.Refine = false
-		cfg.Phase2 = false
-
-		w := Workload{Dim: spec.Dim, Points: len(pts), Seed: spec.Seed}
-		best := sample{ns: math.Inf(1), allocs: math.Inf(1), bytes: math.Inf(1)}
-		for r := 0; r < reps; r++ {
-			var stats core.Phase1Stats
-			s := measure(len(pts), func() {
-				eng, err := core.NewEngine(cfg)
-				if err != nil {
-					fatal(err)
-				}
-				eng.SetExpectedN(int64(len(pts)))
-				for _, p := range pts {
-					if err := eng.Add(p); err != nil {
-						fatal(err)
-					}
-				}
-				stats = eng.FinishPhase1()
-			})
-			best = best.min(s)
-			w.LeafEntries = stats.LeafEntries
-			w.Rebuilds = stats.Rebuilds
-		}
-		w.NsPerPoint = best.ns
-		w.AllocsPerPoint = best.allocs
-		w.BytesPerPoint = best.bytes
-		out[spec.Name] = w
-	}
-	return out
-}
-
-func runPipelineWorkloads(quick bool, reps, workers int) map[string]Workload {
-	k, perCluster := 100, 1000
-	if quick {
-		k, perCluster = 25, 200
-	}
-	const seed = 201
-	ds, err := dataset.Generate(dataset.Params{
-		Pattern: dataset.Grid,
-		K:       k,
-		NLow:    perCluster, NHigh: perCluster,
-		RLow: math.Sqrt2, RHigh: math.Sqrt2,
-		KG:    4,
-		Order: dataset.Randomized,
-		Seed:  seed,
-	})
-	if err != nil {
-		fatal(err)
-	}
-	cfg := core.DefaultConfig(2, k)
-
-	out := make(map[string]Workload)
-
-	seq := Workload{Dim: 2, Points: ds.N(), Seed: seed}
-	bestSeq := sample{ns: math.Inf(1), allocs: math.Inf(1), bytes: math.Inf(1)}
-	for r := 0; r < reps; r++ {
-		var res *core.Result
-		s := measure(ds.N(), func() {
-			var err error
-			res, err = core.Run(ds.Points, cfg)
-			if err != nil {
-				fatal(err)
-			}
-		})
-		bestSeq = bestSeq.min(s)
-		seq.LeafEntries = res.Stats.Phase1.LeafEntries
-		seq.Rebuilds = res.Stats.Phase1.Rebuilds
-		seq.Clusters = len(res.Clusters)
-	}
-	seq.NsPerPoint = bestSeq.ns
-	seq.AllocsPerPoint = bestSeq.allocs
-	seq.BytesPerPoint = bestSeq.bytes
-	out["pipeline_seq_ds1"] = seq
-
-	par := Workload{Dim: 2, Points: ds.N(), Seed: seed, Workers: workers}
-	bestPar := sample{ns: math.Inf(1), allocs: math.Inf(1), bytes: math.Inf(1)}
-	for r := 0; r < reps; r++ {
-		var res *core.Result
-		s := measure(ds.N(), func() {
-			var err error
-			res, err = core.RunParallel(ds.Points, cfg, workers)
-			if err != nil {
-				fatal(err)
-			}
-		})
-		bestPar = bestPar.min(s)
-		par.LeafEntries = res.Stats.Phase1.LeafEntries
-		par.Rebuilds = res.Stats.Phase1.Rebuilds
-		par.Clusters = len(res.Clusters)
-	}
-	par.NsPerPoint = bestPar.ns
-	par.AllocsPerPoint = bestPar.allocs
-	par.BytesPerPoint = bestPar.bytes
-	if bestPar.ns > 0 {
-		par.SpeedupVsSeq = bestSeq.ns / bestPar.ns
-	}
-	out[fmt.Sprintf("pipeline_par%d_ds1", workers)] = par
-	return out
 }
 
 // sample is one timed run, normalized per point.
@@ -507,29 +285,9 @@ func gitCommit() string {
 	return strings.TrimSpace(string(out))
 }
 
-// writeReport attaches any baseline, computes comparisons, and writes the
-// file with a trailing newline so it diffs cleanly.
-func writeReport(path string, meta Meta, workloads map[string]Workload, baseDir string) error {
-	rep := Report{Meta: meta, Workloads: workloads}
-	if baseDir != "" {
-		base, err := readReport(filepath.Join(baseDir, filepath.Base(path)))
-		if err != nil {
-			return fmt.Errorf("baseline: %w", err)
-		}
-		rep.Baseline = base.Workloads
-		rep.Comparison = make(map[string]Comparison)
-		for name, cur := range workloads {
-			b, ok := base.Workloads[name]
-			if !ok {
-				continue
-			}
-			rep.Comparison[name] = Comparison{
-				NsRatio:     ratio(cur.NsPerPoint, b.NsPerPoint),
-				AllocsRatio: ratio(cur.AllocsPerPoint, b.AllocsPerPoint),
-				BytesRatio:  ratio(cur.BytesPerPoint, b.BytesPerPoint),
-			}
-		}
-	}
+// writeReport writes the file with a trailing newline so it diffs
+// cleanly.
+func writeReport(path string, rep Report) error {
 	data, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
 		return err
@@ -537,137 +295,52 @@ func writeReport(path string, meta Meta, workloads map[string]Workload, baseDir 
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-func ratio(cur, base float64) float64 {
-	if base <= 0 {
-		return 0
-	}
-	return cur / base
-}
-
-func readReport(path string) (*Report, error) {
+// verifyReport re-reads the report s wrote to path and checks its meta
+// block and, through s.verify, its workloads.
+func verifyReport(path string, s suite, quick bool) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var rep Report
 	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return fmt.Errorf("%s: %w", path, err)
 	}
-	return &rep, nil
+	if rep.Meta.GoVersion == "" {
+		return fmt.Errorf("%s: missing meta.go_version", s.file)
+	}
+	if err := s.verify(&rep, quick); err != nil {
+		return fmt.Errorf("%s: %w", s.file, err)
+	}
+	return nil
 }
 
-// verifyScan re-reads the scan report and checks every descent workload
-// is present with sane measurements on both scan modes.
-func verifyScan(dir string, quick bool) error {
-	rep, err := readReport(filepath.Join(dir, scanFile))
-	if err != nil {
-		return err
-	}
+// verifyScan checks every descent workload is present with sane
+// measurements on both scan modes.
+func verifyScan(rep *Report, quick bool) error {
 	for _, spec := range descentSpecs(quick) {
 		w, ok := rep.Workloads[spec.Name]
 		if !ok {
-			return fmt.Errorf("%s: missing workload %q", scanFile, spec.Name)
+			return fmt.Errorf("missing workload %q", spec.Name)
 		}
 		if w.NsPerPoint <= 0 || w.EntryScanNsPerPoint <= 0 || w.FusedVsEntryScan <= 0 {
-			return fmt.Errorf("%s: workload %q has degenerate measurements", scanFile, spec.Name)
+			return fmt.Errorf("workload %q has degenerate measurements", spec.Name)
 		}
-	}
-	if rep.Meta.GoVersion == "" {
-		return fmt.Errorf("%s: missing meta.go_version", scanFile)
 	}
 	return nil
 }
 
-// verifyStream re-reads the concurrent-ingest report and checks every
-// workload carries live throughput and latency measurements.
-func verifyStream(dir string) error {
-	rep, err := readReport(filepath.Join(dir, streamFile))
-	if err != nil {
-		return err
-	}
+// verifyStream checks every concurrent-ingest workload carries live
+// throughput and latency measurements.
+func verifyStream(rep *Report, _ bool) error {
 	for _, spec := range streamSpecs() {
 		w, ok := rep.Workloads[spec.Name]
 		if !ok {
-			return fmt.Errorf("%s: missing workload %q", streamFile, spec.Name)
+			return fmt.Errorf("missing workload %q", spec.Name)
 		}
 		if w.PointsPerSec <= 0 || w.P99InsertNs <= 0 {
-			return fmt.Errorf("%s: workload %q has degenerate measurements", streamFile, spec.Name)
+			return fmt.Errorf("workload %q has degenerate measurements", spec.Name)
 		}
-	}
-	if rep.Meta.GoVersion == "" {
-		return fmt.Errorf("%s: missing meta.go_version", streamFile)
 	}
 	return nil
-}
-
-// verify re-reads the emitted files and checks every expected workload
-// key is present with sane fields — the bench-smoke contract.
-func verify(dir string, quick bool) error {
-	if err := verifyScan(dir, quick); err != nil {
-		return err
-	}
-	if err := verifyServe(dir, quick); err != nil {
-		return err
-	}
-	if err := verifySparse(dir, quick); err != nil {
-		return err
-	}
-	if err := verifyTail(dir, quick); err != nil {
-		return err
-	}
-	if err := verifyWAL(dir); err != nil {
-		return err
-	}
-	wantPhase1 := make([]string, 0, 4)
-	for _, spec := range phase1Specs(quick) {
-		wantPhase1 = append(wantPhase1, spec.Name)
-	}
-	wantStream := make([]string, 0, 4)
-	for _, spec := range streamSpecs() {
-		wantStream = append(wantStream, spec.Name)
-	}
-	checks := []struct {
-		file string
-		want []string
-	}{
-		{phase1File, wantPhase1},
-		{pipelineFile, []string{"pipeline_seq_ds1"}},
-		{streamFile, wantStream},
-	}
-	for _, c := range checks {
-		rep, err := readReport(filepath.Join(dir, c.file))
-		if err != nil {
-			return err
-		}
-		for _, key := range c.want {
-			w, ok := rep.Workloads[key]
-			if !ok {
-				return fmt.Errorf("%s: missing workload %q", c.file, key)
-			}
-			if c.file == streamFile {
-				if w.PointsPerSec <= 0 || w.P99InsertNs <= 0 {
-					return fmt.Errorf("%s: workload %q has degenerate measurements", c.file, key)
-				}
-				continue
-			}
-			if w.NsPerPoint <= 0 || w.Points <= 0 {
-				return fmt.Errorf("%s: workload %q has degenerate measurements", c.file, key)
-			}
-		}
-		if rep.Meta.GoVersion == "" {
-			return fmt.Errorf("%s: missing meta.go_version", c.file)
-		}
-	}
-	// The parallel workload's key embeds the worker count; require at
-	// least one regardless of the -workers value used.
-	rep, err := readReport(filepath.Join(dir, pipelineFile))
-	if err != nil {
-		return err
-	}
-	for key := range rep.Workloads {
-		if strings.HasPrefix(key, "pipeline_par") {
-			return nil
-		}
-	}
-	return fmt.Errorf("%s: missing pipeline_par* workload", pipelineFile)
 }

@@ -4,12 +4,10 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"path/filepath"
 
 	"birch/internal/cf"
 	"birch/internal/cftree"
 	"birch/internal/dataset"
-	"birch/internal/pager"
 	"birch/internal/vec"
 )
 
@@ -122,7 +120,7 @@ func buildSparseBlock(docs []vec.Sparse, entries int, kind cf.CoreKind) *cf.Bloc
 
 // runSparseWorkloads measures the scan grid, the crossover sweeps, and
 // the end-to-end tree pairs.
-func runSparseWorkloads(quick bool, reps int) map[string]Workload {
+func runSparseWorkloads(quick bool, reps, _ int) map[string]Workload {
 	out := make(map[string]Workload)
 	for _, spec := range sparseSpecs(quick) {
 		fmt.Fprintf(os.Stderr, "sparse: %s...\n", spec.Name)
@@ -264,7 +262,7 @@ func runSparseTree(spec sparseTreeSpec, reps int) Workload {
 	var leaves [2]int
 	for r := 0; r < reps; r++ {
 		// Dense mode.
-		tr := newSparseTree(spec)
+		tr := newTree(spec.Dim, spec.PageSize, spec.Threshold, cf.DCos, cftree.ScanFused)
 		scratch := cf.New(spec.Dim)
 		for _, p := range dense {
 			scratch.SetPoint(p)
@@ -280,7 +278,7 @@ func runSparseTree(spec sparseTreeSpec, reps int) Workload {
 		leaves[0] = tr.LeafEntries()
 
 		// Sparse mode.
-		tr = newSparseTree(spec)
+		tr = newTree(spec.Dim, spec.PageSize, spec.Threshold, cf.DCos, cftree.ScanFused)
 		for _, sp := range docs {
 			tr.InsertSparse(sp)
 		}
@@ -305,66 +303,36 @@ func runSparseTree(spec sparseTreeSpec, reps int) Workload {
 	return w
 }
 
-func newSparseTree(spec sparseTreeSpec) *cftree.Tree {
-	pgr := pager.MustNew(pager.Config{
-		PageSize:     spec.PageSize,
-		MemoryBudget: 1 << 30,
-		DiskBudget:   1 << 20,
-	})
-	tr, err := cftree.New(cftree.Params{
-		Dim:               spec.Dim,
-		Branching:         pager.BranchingFactor(spec.PageSize, spec.Dim),
-		LeafCap:           pager.LeafCapacity(spec.PageSize, spec.Dim),
-		Threshold:         spec.Threshold,
-		ThresholdKind:     cf.ThresholdDiameter,
-		Metric:            cf.DCos,
-		MergingRefinement: true,
-		Scan:              cftree.ScanFused,
-	}, pgr)
-	if err != nil {
-		fatal(err)
-	}
-	return tr
-}
-
-// verifySparse re-reads the sparse report and checks every grid
-// workload, the three crossover sweeps, and both tree pairs are present
-// with sane measurements.
-func verifySparse(dir string, quick bool) error {
-	rep, err := readReport(filepath.Join(dir, sparseFile))
-	if err != nil {
-		return err
-	}
+// verifySparse checks every grid workload, the three crossover sweeps,
+// and both tree pairs are present with sane measurements.
+func verifySparse(rep *Report, quick bool) error {
 	for _, spec := range sparseSpecs(quick) {
 		w, ok := rep.Workloads[spec.Name]
 		if !ok {
-			return fmt.Errorf("%s: missing workload %q", sparseFile, spec.Name)
+			return fmt.Errorf("missing workload %q", spec.Name)
 		}
 		if w.NsPerPoint <= 0 || w.DenseNsPerPoint <= 0 || w.SparseVsDense <= 0 {
-			return fmt.Errorf("%s: workload %q has degenerate measurements", sparseFile, spec.Name)
+			return fmt.Errorf("workload %q has degenerate measurements", spec.Name)
 		}
 	}
 	for _, dim := range []int{64, 256, 1024} {
 		name := fmt.Sprintf("sparse_crossover_d%d", dim)
 		w, ok := rep.Workloads[name]
 		if !ok {
-			return fmt.Errorf("%s: missing workload %q", sparseFile, name)
+			return fmt.Errorf("missing workload %q", name)
 		}
 		if w.CrossoverDensity <= 0 || w.CrossoverDensity > 1 {
-			return fmt.Errorf("%s: workload %q has degenerate crossover %g", sparseFile, name, w.CrossoverDensity)
+			return fmt.Errorf("workload %q has degenerate crossover %g", name, w.CrossoverDensity)
 		}
 	}
 	for _, spec := range sparseTreeSpecs(quick) {
 		w, ok := rep.Workloads[spec.Name]
 		if !ok {
-			return fmt.Errorf("%s: missing workload %q", sparseFile, spec.Name)
+			return fmt.Errorf("missing workload %q", spec.Name)
 		}
 		if w.NsPerPoint <= 0 || w.DenseNsPerPoint <= 0 || w.SparseVsDense <= 0 {
-			return fmt.Errorf("%s: workload %q has degenerate measurements", sparseFile, spec.Name)
+			return fmt.Errorf("workload %q has degenerate measurements", spec.Name)
 		}
-	}
-	if rep.Meta.GoVersion == "" {
-		return fmt.Errorf("%s: missing meta.go_version", sparseFile)
 	}
 	return nil
 }

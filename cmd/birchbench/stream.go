@@ -99,7 +99,7 @@ const (
 	streamBenchK   = 100 // DS1-scale cluster count (Table 3)
 )
 
-func runStreamWorkloads(quick bool, reps int) map[string]Workload {
+func runStreamWorkloads(quick bool, reps, _ int) map[string]Workload {
 	n := streamPoints
 	if quick {
 		n /= 10

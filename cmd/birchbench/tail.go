@@ -24,7 +24,6 @@ package main
 import (
 	"fmt"
 	"math"
-	"path/filepath"
 
 	"birch/internal/kmeans"
 	"birch/internal/vec"
@@ -168,34 +167,26 @@ func tailCentroids(dim, k int) []vec.Vector {
 	return out
 }
 
-// verifyTail re-reads the tail report and checks every workload is
-// present with sane measurements — the bench-smoke contract for the
-// tail job.
-func verifyTail(dir string, quick bool) error {
-	rep, err := readReport(filepath.Join(dir, tailFile))
-	if err != nil {
-		return err
-	}
+// verifyTail checks every refine and classify workload is present with
+// sane measurements.
+func verifyTail(rep *Report, quick bool) error {
 	for _, spec := range tailRefineSpecs(quick) {
 		w, ok := rep.Workloads[spec.Name]
 		if !ok {
-			return fmt.Errorf("%s: missing workload %q", tailFile, spec.Name)
+			return fmt.Errorf("missing workload %q", spec.Name)
 		}
 		if w.RefNsPerPoint <= 0 || w.NsPerPoint <= 0 || w.ParNsPerPoint <= 0 || w.SpeedupVsRef <= 0 {
-			return fmt.Errorf("%s: workload %q has degenerate measurements", tailFile, spec.Name)
+			return fmt.Errorf("workload %q has degenerate measurements", spec.Name)
 		}
 	}
 	for _, spec := range tailClassifySpecs(quick) {
 		w, ok := rep.Workloads[spec.Name]
 		if !ok {
-			return fmt.Errorf("%s: missing workload %q", tailFile, spec.Name)
+			return fmt.Errorf("missing workload %q", spec.Name)
 		}
 		if w.BruteNsPerQuery <= 0 || w.FusedNsPerQuery <= 0 || w.KDNsPerQuery <= 0 || w.BatchNsPerQuery <= 0 {
-			return fmt.Errorf("%s: workload %q has degenerate measurements", tailFile, spec.Name)
+			return fmt.Errorf("workload %q has degenerate measurements", spec.Name)
 		}
-	}
-	if rep.Meta.GoVersion == "" {
-		return fmt.Errorf("%s: missing meta.go_version", tailFile)
 	}
 	return nil
 }

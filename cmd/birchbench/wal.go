@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"time"
@@ -65,7 +64,7 @@ const (
 	walSegmentBytes = 1 << 20
 )
 
-func runWALWorkloads(quick bool, reps int) map[string]Workload {
+func runWALWorkloads(quick bool, reps, _ int) map[string]Workload {
 	n := walBenchPoints
 	if quick {
 		n /= 10
@@ -235,34 +234,27 @@ func walBytesOn(fs pager.FS) int64 {
 	return total
 }
 
-// verifyWAL re-reads the WAL report and checks every row carries sane
-// measurements — the bench-wal smoke contract.
-func verifyWAL(dir string) error {
-	rep, err := readReport(filepath.Join(dir, walFile))
-	if err != nil {
-		return err
-	}
+// verifyWAL checks every ingest row and the replay row carry sane
+// measurements.
+func verifyWAL(rep *Report, _ bool) error {
 	for _, spec := range walSpecs() {
 		w, ok := rep.Workloads[spec.Name]
 		if !ok {
-			return fmt.Errorf("%s: missing workload %q", walFile, spec.Name)
+			return fmt.Errorf("missing workload %q", spec.Name)
 		}
 		if w.PointsPerSec <= 0 {
-			return fmt.Errorf("%s: workload %q has degenerate measurements", walFile, spec.Name)
+			return fmt.Errorf("workload %q has degenerate measurements", spec.Name)
 		}
 		if spec.Durable && (w.DurableVsOff <= 0 || w.WALBytesPerPoint <= 0) {
-			return fmt.Errorf("%s: workload %q missing durability columns", walFile, spec.Name)
+			return fmt.Errorf("workload %q missing durability columns", spec.Name)
 		}
 	}
 	w, ok := rep.Workloads["wal_replay"]
 	if !ok {
-		return fmt.Errorf("%s: missing workload %q", walFile, "wal_replay")
+		return fmt.Errorf("missing workload %q", "wal_replay")
 	}
 	if w.PointsPerSec <= 0 || w.ReplayNsPerPoint <= 0 {
-		return fmt.Errorf("%s: workload wal_replay has degenerate measurements", walFile)
-	}
-	if rep.Meta.GoVersion == "" {
-		return fmt.Errorf("%s: missing meta.go_version", walFile)
+		return fmt.Errorf("workload wal_replay has degenerate measurements")
 	}
 	return nil
 }

@@ -108,11 +108,6 @@ type Config struct {
 	GlobalAlgorithm GlobalAlg
 	// GlobalMetric is the distance for Phase 3's HC (default D2).
 	GlobalMetric cf.Metric
-	// HCNNChain switches Phase 3's HC engine to the nearest-neighbor-
-	// chain algorithm: O(m) extra space instead of an m×m matrix, exact
-	// for the reducible metrics D3/D4, a close heuristic for D0–D2. Use
-	// it when Phase 2 is off and Phase 3 sees many thousands of entries.
-	HCNNChain bool
 
 	// Refine toggles Phase 4 (default on, matching Section 6.4's base
 	// configuration, which reports results "at the end of Phase 4").

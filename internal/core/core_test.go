@@ -536,32 +536,6 @@ func TestSoakMillionPoints(t *testing.T) {
 	}
 }
 
-func TestRunHCNNChain(t *testing.T) {
-	pts, _ := gaussianBlobs(15, 6, 300, 40, 1)
-	cfg := DefaultConfig(2, 6)
-	cfg.HCNNChain = true
-	cfg.Phase2 = false // the scenario NN-chain exists for: many entries
-	res, err := Run(pts, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Clusters) != 6 {
-		t.Fatalf("clusters = %d, want 6", len(res.Clusters))
-	}
-	// Same data via the matrix engine: equivalent partition quality.
-	cfg2 := cfg
-	cfg2.HCNNChain = false
-	res2, err := Run(pts, cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d1 := quality.WeightedAvgDiameter(res.Clusters)
-	d2 := quality.WeightedAvgDiameter(res2.Clusters)
-	if d1 > d2*1.2 {
-		t.Fatalf("NN-chain D̄ %g vs matrix %g", d1, d2)
-	}
-}
-
 func TestNewEngineErrorPaths(t *testing.T) {
 	bad := DefaultConfig(2, 2)
 	bad.Dim = 0

@@ -143,16 +143,11 @@ func (e *Engine) GlobalCluster(stats *Phase3Stats) ([]cf.CF, error) {
 	var clusters []cf.CF
 	switch e.cfg.GlobalAlgorithm {
 	case GlobalHC:
-		opts := hc.Options{
+		res, err := hc.Cluster(leaves, hc.Options{
 			K:           e.cfg.K,
 			MaxDiameter: e.cfg.MaxDiameter,
 			Metric:      e.cfg.GlobalMetric,
-		}
-		engine := hc.Cluster
-		if e.cfg.HCNNChain {
-			engine = hc.ClusterNNChain
-		}
-		res, err := engine(leaves, opts)
+		})
 		if err != nil {
 			return nil, fmt.Errorf("core: phase 3 HC: %w", err)
 		}

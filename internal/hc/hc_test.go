@@ -157,9 +157,8 @@ func TestAllMetrics(t *testing.T) {
 	}
 }
 
-// TestDendrogramMonotoneForD4: Ward-style variance-increase merges are
-// monotone (each merge distance ≥ the previous) when using the NN-chain
-// -free exact best-merge strategy on D4, a classic property we can verify.
+// TestDendrogramRecordsMerges: merging 20 items down to 5 records one
+// merge per step, each at a non-negative distance.
 func TestDendrogramRecordsMerges(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	items := blob(r, 20, 0, 0, 1)

@@ -9,10 +9,11 @@ import (
 // BenchmarkFinderModes locates the fused-vs-kd crossover behind
 // FusedKDThreshold: per-query cost of each search implementation across
 // centroid counts and dimensions, on clustered queries (points near the
-// centroids, the serving-path regime).
+// centroids, the serving-path regime). K = 100 at d = 2 and d = 16 is
+// the centroid count of perfbench's paper_table4 and scale_d16.
 func BenchmarkFinderModes(b *testing.B) {
-	for _, dim := range []int{2, 8} {
-		for _, k := range []int{8, 16, 24, 32, 48, 64, 128} {
+	for _, dim := range []int{2, 8, 16} {
+		for _, k := range []int{8, 16, 24, 32, 48, 64, 100, 128} {
 			r := rand.New(rand.NewSource(int64(dim*1000 + k)))
 			centroids := randCentroids(r, k, dim)
 			queries := make([][]float64, 1024)

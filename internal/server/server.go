@@ -50,9 +50,6 @@ type Options struct {
 	// ClassifyWorkers caps the fan-out of one coalesced ClassifyBatch.
 	// Default 1 (the collector goroutine scans inline).
 	ClassifyWorkers int
-	// RetryAfter is the hint returned with 429 responses, in seconds.
-	// Default 1.
-	RetryAfter int
 }
 
 func (o Options) withDefaults() Options {
@@ -67,9 +64,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ClassifyWorkers <= 0 {
 		o.ClassifyWorkers = 1
-	}
-	if o.RetryAfter <= 0 {
-		o.RetryAfter = 1
 	}
 	return o
 }
@@ -92,6 +86,9 @@ const (
 	// the server closes it.
 	idleTimeout = 2 * time.Minute
 )
+
+// retryAfter is the Retry-After hint, in seconds, sent with every 429.
+const retryAfter = 1
 
 // Server fronts a Backend with the HTTP API and the micro-batching
 // admission layer. Create with New, serve with Serve, stop with
@@ -470,11 +467,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // ---- response writing -------------------------------------------------
 
 // reject bounces an admitted-but-unqueueable request with 429 and the
-// configured Retry-After hint: the queue is the latency budget, and a
-// full queue means the server is past its knee.
+// Retry-After hint: the queue is the latency budget, and a full queue
+// means the server is past its knee.
 func (s *Server) reject(w http.ResponseWriter) {
 	s.rejected.Add(1)
-	w.Header().Set("Retry-After", strconv.Itoa(s.opts.RetryAfter))
+	w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
 	httpError(w, http.StatusTooManyRequests, "admission queue full")
 }
 

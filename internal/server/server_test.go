@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -203,19 +205,32 @@ func (s *stubBackend) Close() error                    { s.closed.Store(true); r
 
 // TestBackpressure429 saturates a tiny admission queue behind a blocked
 // backend and requires (a) 429s with a Retry-After hint, (b) zero lost
-// acks: every 200 corresponds to a point the backend actually received.
+// acks: every 200 corresponds to a point the backend actually received,
+// and (c) a clean recovery: once the storm is over, the next insert is
+// acked.
 func TestBackpressure429(t *testing.T) {
 	stub := &stubBackend{dim: 2, gate: make(chan struct{})}
 	cl, shutdown := startServer(t, stub, Options{
 		MaxBatch:   4,
 		BatchWait:  time.Millisecond,
 		QueueDepth: 2,
-		RetryAfter: 7,
 	})
 	ctx := context.Background()
+	// feed lets the collector pull one batch at a time until done closes.
+	feed := func(done <-chan struct{}) {
+		for {
+			select {
+			case <-done:
+				return
+			case stub.gate <- struct{}{}:
+			}
+		}
+	}
 
 	const attempts = 64
 	var acked, overloaded atomic.Int64
+	var shed sync.Once
+	firstShed := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < attempts; i++ {
 		wg.Add(1)
@@ -228,34 +243,58 @@ func TestBackpressure429(t *testing.T) {
 				acked.Add(1)
 			case errors.Is(err, ErrOverloaded):
 				var oe *OverloadedError
-				if !errors.As(err, &oe) || oe.RetryAfter != 7 {
+				if !errors.As(err, &oe) || oe.RetryAfter != retryAfter {
 					t.Errorf("429 with wrong Retry-After: %v", err)
 				}
 				overloaded.Add(1)
+				shed.Do(func() { close(firstShed) })
 			default:
 				t.Errorf("unexpected insert error: %v", err)
 			}
 		}(i)
 	}
-	// Let the collector pull one batch at a time while the storm runs.
 	storm := make(chan struct{})
 	go func(done chan<- struct{}) {
 		wg.Wait()
 		close(done)
 	}(storm)
-	for {
-		select {
-		case <-storm:
-			goto drained
-		case stub.gate <- struct{}{}:
-		}
+	// Hold the backend until the queue has overflowed once, so the storm
+	// sheds load however the host schedules its requests; then let the
+	// collector pull one batch at a time.
+	select {
+	case <-firstShed:
+	case <-time.After(10 * time.Second):
 	}
-drained:
+	feed(storm)
+
+	// Shedding load must not leave the server refusing work: with the
+	// queue empty again, one more insert is acked and reaches the backend.
+	post := make(chan struct{})
+	var postErr error
+	go func() {
+		postErr = cl.Insert(ctx, vec.Vector{-1, 1})
+		close(post)
+	}()
+	feed(post)
+	if postErr != nil {
+		t.Errorf("insert after the storm: %v", postErr)
+	} else {
+		acked.Add(1)
+	}
+	if got := stub.points.Load(); got != acked.Load() {
+		t.Errorf("after the storm the backend holds %d points, clients got %d acks", got, acked.Load())
+	}
 	shutdown()
 	close(stub.gate) // unblock any final drain flush
 
 	if overloaded.Load() == 0 {
 		t.Fatal("queue of depth 2 never produced a 429 under a 64-way storm")
+	}
+	// The client reads a missing hint as 1 too, so check the header.
+	rec := httptest.NewRecorder()
+	(&Server{}).reject(rec)
+	if got := rec.Header().Get("Retry-After"); got != strconv.Itoa(retryAfter) {
+		t.Fatalf("Retry-After = %q, want %d", got, retryAfter)
 	}
 	if got := stub.points.Load(); got != acked.Load() {
 		t.Fatalf("backend received %d points, clients got %d acks", got, acked.Load())
