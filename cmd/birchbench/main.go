@@ -64,9 +64,9 @@ type Workload struct {
 	AllocsPerPoint float64 `json:"allocs_per_point,omitempty"`
 	BytesPerPoint  float64 `json:"bytes_per_point,omitempty"`
 
-	// LeafEntries is the subcluster count of the measured tree; both
-	// modes of a pair must agree on it, so it doubles as a determinism
-	// probe.
+	// LeafEntries is the entry count of the measured tree or scan block;
+	// the two modes of a tree pair must agree on it, so it doubles as a
+	// determinism probe.
 	LeafEntries int `json:"leaf_entries,omitempty"`
 
 	// Workers is the writer or worker count of a concurrent workload.
