@@ -4,7 +4,7 @@
 GO ?= go
 FUZZTIME ?= 15s
 
-.PHONY: all build vet lint lint-escapes test test-stream test-tail test-crash race fuzz-smoke bench bench-scan bench-sparse bench-tail bench-wal bench-smoke check clean
+.PHONY: all build vet lint lint-escapes test test-stream test-tail test-crash race fuzz-smoke bench bench-sparse bench-tail bench-wal bench-smoke check clean
 
 # Randomized kill points per core cell of the crash-recovery battery;
 # 52 × 2 cells ≥ the 100-kill bar CI gates on.
@@ -18,13 +18,17 @@ build:
 vet:
 	$(GO) vet ./...
 
-# birchlint is the repo's own static-analysis suite (cmd/birchlint):
-# float-equality, unclamped-sqrt, CF-mutation, block-sync, stdlib-only
-# and unchecked-I/O checks plus the annotation-driven contract passes
-# (hotpath, detlint, immutlint, leaklint; DESIGN.md §12). -stale also
-# fails on //birchlint:ignore comments that no longer suppress anything.
-# Must exit 0.
+# gofmt gate first: every tracked Go file must be gofmt-clean, except
+# the birchlint fixtures under internal/lint/testdata, which are checked
+# against golden files as written. Then birchlint, the repo's own
+# static-analysis suite (cmd/birchlint): float-equality, unclamped-sqrt,
+# CF-mutation, block-sync, stdlib-only and unchecked-I/O checks plus the
+# annotation-driven contract passes (hotpath, detlint, immutlint,
+# leaklint; DESIGN.md §12). -stale also fails on //birchlint:ignore
+# comments that no longer suppress anything. Must exit 0.
 lint:
+	@unformatted=$$(gofmt -l $$(git ls-files '*.go' | grep -v '^internal/lint/testdata/')); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/birchlint -stale ./...
 
 # Advisory: cross-check the compiler's escape analysis (-gcflags=-m)
@@ -72,16 +76,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/server
 
 # Full benchmark harness: every suite, written to the repo root as
-# BENCH_scan.json, BENCH_stream.json, BENCH_tail.json, BENCH_wal.json and
+# BENCH_stream.json, BENCH_tail.json, BENCH_wal.json and
 # BENCH_sparse.json, all at one commit. End-to-end numbers come from
-# perfbench (bash perfbench/run.sh).
+# perfbench (bash perfbench/run.sh); the descent scan's entries-vs-fused
+# comparison is the Go benchmark BenchmarkScanLanes in internal/cf.
 bench:
 	$(GO) run ./cmd/birchbench -out .
-
-# Descent-scan workloads only: fused block scan vs the per-entry kernel
-# loop on converged trees, written to BENCH_scan.json in the repo root.
-bench-scan:
-	$(GO) run ./cmd/birchbench -only scan -out .
 
 # Sparse fast-path workloads only: dense fused scan vs sparse gather
 # kernel on Zipfian documents across the d × density grid, the density

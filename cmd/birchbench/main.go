@@ -2,8 +2,6 @@
 // Each report backs a constant or a comparison that nothing else in the
 // repository measures:
 //
-//   - scan (BENCH_scan.json): the fused four-lane descent scan against
-//     the per-entry kernel loop on converged trees;
 //   - stream (BENCH_stream.json): the snapshot-serving stream engine
 //     against one engine behind a mutex, under the same ingest and
 //     classify load;
@@ -57,12 +55,10 @@ type Workload struct {
 	Points int   `json:"points"`
 	Seed   int64 `json:"seed"`
 
-	// The per-point cost columns are omitempty because not every report
-	// measures them: the concurrent-ingest workloads (BENCH_stream.json)
+	// The per-point cost column is omitempty because not every report
+	// measures it: the concurrent-ingest workloads (BENCH_stream.json)
 	// report throughput and latency percentiles instead.
-	NsPerPoint     float64 `json:"ns_per_point,omitempty"`
-	AllocsPerPoint float64 `json:"allocs_per_point,omitempty"`
-	BytesPerPoint  float64 `json:"bytes_per_point,omitempty"`
+	NsPerPoint float64 `json:"ns_per_point,omitempty"`
 
 	// LeafEntries is the entry count of the measured tree or scan block;
 	// the two modes of a tree pair must agree on it, so it doubles as a
@@ -83,16 +79,9 @@ type Workload struct {
 	P99InsertNs    float64 `json:"p99_insert_ns,omitempty"`
 	SpeedupVsMutex float64 `json:"speedup_vs_mutex,omitempty"`
 
-	// Descent-scan (BENCH_scan.json) fields: Metric names the distance
-	// metric the tree descends under; the standard ns/allocs/bytes
-	// columns hold the fused block-scan numbers; EntryScanNsPerPoint is
-	// the per-entry kernel loop on the identical workload, and
-	// FusedVsEntryScan is fused/entries ns (< 1 means the fused scan is
-	// faster). Both modes build bit-identical trees, so the ratio is pure
-	// scan cost.
-	Metric              string  `json:"metric,omitempty"`
-	EntryScanNsPerPoint float64 `json:"entry_scan_ns_per_point,omitempty"`
-	FusedVsEntryScan    float64 `json:"fused_vs_entry_scan,omitempty"`
+	// Metric names the distance metric a scan or tree workload runs
+	// under.
+	Metric string `json:"metric,omitempty"`
 
 	// Durability (BENCH_wal.json) fields: DurableVsOff is the durable
 	// row's throughput over the wal_off baseline at the same writer count
@@ -153,7 +142,6 @@ type suite struct {
 // suites lists every report the harness writes, in the order -only all
 // runs them.
 var suites = []suite{
-	{"scan", scanFile, runDescentWorkloads, verifyScan},
 	{"stream", streamFile, runStreamWorkloads, verifyStream},
 	{"tail", tailFile, runTailWorkloads, verifyTail},
 	{"wal", walFile, runWALWorkloads, verifyWAL},
@@ -165,7 +153,7 @@ func main() {
 	outDir := flag.String("out", ".", "directory for BENCH_*.json")
 	reps := flag.Int("reps", 3, "repetitions per workload (best-of)")
 	workers := flag.Int("workers", 8, "worker count for the parallel-tail workloads")
-	only := flag.String("only", "all", `run one suite: "all", "scan", "stream", "tail", "wal" or "sparse"`)
+	only := flag.String("only", "all", `run one suite: "all", "stream", "tail", "wal" or "sparse"`)
 	flag.Parse()
 
 	run, err := selectSuites(*only)
@@ -216,39 +204,14 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// sample is one timed run, normalized per point.
-type sample struct{ ns, allocs, bytes float64 }
-
-func (s sample) min(o sample) sample {
-	if o.ns < s.ns {
-		s.ns = o.ns
-	}
-	if o.allocs < s.allocs {
-		s.allocs = o.allocs
-	}
-	if o.bytes < s.bytes {
-		s.bytes = o.bytes
-	}
-	return s
-}
-
-// measure times f and attributes its heap traffic per point. A GC fence
+// measure times f and returns its wall time per point. A GC fence
 // before the run keeps leftover garbage from a previous workload out of
-// the deltas.
-func measure(points int, f func()) sample {
+// the timing.
+func measure(points int, f func()) float64 {
 	runtime.GC()
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
 	start := time.Now()
 	f()
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-	n := float64(points)
-	return sample{
-		ns:     float64(elapsed.Nanoseconds()) / n,
-		allocs: float64(m1.Mallocs-m0.Mallocs) / n,
-		bytes:  float64(m1.TotalAlloc-m0.TotalAlloc) / n,
-	}
+	return float64(time.Since(start).Nanoseconds()) / float64(points)
 }
 
 // blobs generates n points from k well-separated d-dimensional Gaussian
@@ -311,21 +274,6 @@ func verifyReport(path string, s suite, quick bool) error {
 	}
 	if err := s.verify(&rep, quick); err != nil {
 		return fmt.Errorf("%s: %w", s.file, err)
-	}
-	return nil
-}
-
-// verifyScan checks every descent workload is present with sane
-// measurements on both scan modes.
-func verifyScan(rep *Report, quick bool) error {
-	for _, spec := range descentSpecs(quick) {
-		w, ok := rep.Workloads[spec.Name]
-		if !ok {
-			return fmt.Errorf("missing workload %q", spec.Name)
-		}
-		if w.NsPerPoint <= 0 || w.EntryScanNsPerPoint <= 0 || w.FusedVsEntryScan <= 0 {
-			return fmt.Errorf("workload %q has degenerate measurements", spec.Name)
-		}
 	}
 	return nil
 }

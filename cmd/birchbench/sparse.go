@@ -8,6 +8,7 @@ import (
 	"birch/internal/cf"
 	"birch/internal/cftree"
 	"birch/internal/dataset"
+	"birch/internal/pager"
 	"birch/internal/vec"
 )
 
@@ -186,7 +187,7 @@ func runSparseScan(spec sparseSpec, reps int) Workload {
 				dense(q, blk)
 			}
 		})
-		denseNs = math.Min(denseNs, s.ns)
+		denseNs = math.Min(denseNs, s)
 		s = measure(len(docs), func() {
 			for _, sp := range docs {
 				spCF.SetPointSparse(sp)
@@ -194,7 +195,7 @@ func runSparseScan(spec sparseSpec, reps int) Workload {
 				gather(q, blk)
 			}
 		})
-		gatherNs = math.Min(gatherNs, s.ns)
+		gatherNs = math.Min(gatherNs, s)
 	}
 	w.NsPerPoint = gatherNs
 	w.DenseNsPerPoint = denseNs
@@ -247,9 +248,10 @@ func runSparseCrossover(dim int, quick bool, reps int) Workload {
 
 // runSparseTree measures the end-to-end pair: the same document stream
 // through the dense insert path and through Tree.InsertSparse on
-// separate but bit-identical trees. Protocol follows the descent suite:
-// build the tree from the stream (warm-up), then re-insert the stream
-// as the measured pass; both modes must agree on the final leaf count.
+// separate but bit-identical trees. Each mode builds its tree from the
+// stream (warm-up), then re-inserts the stream as the measured pass, so
+// the measured inserts run descent and absorb on a converged tree; both
+// modes must agree on the final leaf count.
 func runSparseTree(spec sparseTreeSpec, reps int) Workload {
 	docs := sparseDocsFor(spec.Dim, spec.NNZ, spec.N, spec.Seed)
 	dense := make([]vec.Vector, len(docs))
@@ -262,7 +264,7 @@ func runSparseTree(spec sparseTreeSpec, reps int) Workload {
 	var leaves [2]int
 	for r := 0; r < reps; r++ {
 		// Dense mode.
-		tr := newTree(spec.Dim, spec.PageSize, spec.Threshold, cf.DCos, cftree.ScanFused)
+		tr := newCosTree(spec.Dim, spec.PageSize, spec.Threshold)
 		scratch := cf.New(spec.Dim)
 		for _, p := range dense {
 			scratch.SetPoint(p)
@@ -274,11 +276,11 @@ func runSparseTree(spec sparseTreeSpec, reps int) Workload {
 				tr.Insert(scratch)
 			}
 		})
-		denseNs = math.Min(denseNs, s.ns)
+		denseNs = math.Min(denseNs, s)
 		leaves[0] = tr.LeafEntries()
 
 		// Sparse mode.
-		tr = newTree(spec.Dim, spec.PageSize, spec.Threshold, cf.DCos, cftree.ScanFused)
+		tr = newCosTree(spec.Dim, spec.PageSize, spec.Threshold)
 		for _, sp := range docs {
 			tr.InsertSparse(sp)
 		}
@@ -287,7 +289,7 @@ func runSparseTree(spec sparseTreeSpec, reps int) Workload {
 				tr.InsertSparse(sp)
 			}
 		})
-		sparseNs = math.Min(sparseNs, s.ns)
+		sparseNs = math.Min(sparseNs, s)
 		leaves[1] = tr.LeafEntries()
 	}
 	if leaves[0] != leaves[1] {
@@ -301,6 +303,30 @@ func runSparseTree(spec sparseTreeSpec, reps int) Workload {
 	}
 	w.LeafEntries = leaves[0]
 	return w
+}
+
+// newCosTree builds an empty cosine tree with page-derived fan-outs, a
+// diameter threshold and an effectively unlimited memory budget, so the
+// tree pairs isolate descent and absorb, not threshold escalation.
+func newCosTree(dim, pageSize int, threshold float64) *cftree.Tree {
+	pgr := pager.MustNew(pager.Config{
+		PageSize:     pageSize,
+		MemoryBudget: 1 << 30,
+		DiskBudget:   1 << 20,
+	})
+	tr, err := cftree.New(cftree.Params{
+		Dim:               dim,
+		Branching:         pager.BranchingFactor(pageSize, dim),
+		LeafCap:           pager.LeafCapacity(pageSize, dim),
+		Threshold:         threshold,
+		ThresholdKind:     cf.ThresholdDiameter,
+		Metric:            cf.DCos,
+		MergingRefinement: true,
+	}, pgr)
+	if err != nil {
+		fatal(err)
+	}
+	return tr
 }
 
 // verifySparse checks every grid workload, the three crossover sweeps,

@@ -87,21 +87,21 @@ func runTailWorkloads(quick bool, reps, workers int) map[string]Workload {
 					kmeans.AssignPointsReference(pts, centroids, 0)
 				}
 			})
-			refNs = math.Min(refNs, s.ns)
+			refNs = math.Min(refNs, s)
 
 			s = measure(total, func() {
 				for p := 0; p < tailRefinePasses; p++ {
 					refAssigner.Assign(pts, centroids, 0, 1)
 				}
 			})
-			par1Ns = math.Min(par1Ns, s.ns)
+			par1Ns = math.Min(par1Ns, s)
 
 			s = measure(total, func() {
 				for p := 0; p < tailRefinePasses; p++ {
 					parAssigner.Assign(pts, centroids, 0, workers)
 				}
 			})
-			par8Ns = math.Min(par8Ns, s.ns)
+			par8Ns = math.Min(par8Ns, s)
 		}
 		w.RefNsPerPoint = refNs
 		w.NsPerPoint = par1Ns
@@ -136,12 +136,12 @@ func runTailWorkloads(quick bool, reps, workers int) map[string]Workload {
 						f.Nearest(q)
 					}
 				})
-				*m.ns = math.Min(*m.ns, s.ns)
+				*m.ns = math.Min(*m.ns, s)
 			}
 			s := measure(spec.N, func() {
 				auto.NearestBatch(queries, idx, d2, workers)
 			})
-			batchNs = math.Min(batchNs, s.ns)
+			batchNs = math.Min(batchNs, s)
 		}
 		w.BruteNsPerQuery = bruteNs
 		w.FusedNsPerQuery = fusedNs

@@ -200,8 +200,8 @@ func TestDurableWarmRestart(t *testing.T) {
 func TestBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mode", "nope"},
-		{"-mode", "coordinator"},      // no peers
-		{"-core", "triangular"},       // unknown core
+		{"-mode", "coordinator"}, // no peers
+		{"-core", "triangular"},  // unknown core
 		{"-mode", "shard", "-fleet", "0"},
 	} {
 		ctx, cancel := context.WithCancel(context.Background())

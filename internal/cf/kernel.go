@@ -6,31 +6,40 @@ import (
 	"birch/internal/vec"
 )
 
-// This file provides the metric-specialized distance kernels for the
-// Phase 1 hot path. The closest-entry scan (tree descent and leaf choice,
-// Section 4.2 step 1 "Identifying the appropriate leaf") evaluates the
-// tree's metric against every entry of every node on the root-to-leaf
-// path, so it dominates insertion cost. The generic DistanceSq dispatches
-// on the metric per pair and recomputes the query side's derived terms
-// (centroid components, SS/N) per candidate; a Kernel fixes the metric
-// once at tree construction and a Query hoists the query-side constants
-// once per insertion, leaving only candidate-side work in the inner loop.
+// This file provides the metric-specialized distance kernels: the one
+// production implementation of a CF-pair distance. A Kernel fixes the
+// metric and the core once, and a Query hoists one operand's constant
+// terms (centroid components, SS/N, the centroid norm) once per binding,
+// leaving only candidate-side work per pair. Every pair path binds one
+// operand and calls the kernel: the CF-tree's split seeds and
+// redistribution, merging refinement's closest pair and the D_min
+// threshold candidate (cftree), and Phase 3's distance matrix (hc). The
+// node argmin of the descent runs the block scans (scan.go, sparse.go),
+// which reproduce the kernel loop bit for bit.
 //
-// Exactness contract: for every metric m and non-empty pair (cand, q),
+// Exactness contract: for every metric m, both cores and every non-empty
+// pair (cand, q) of one core,
 //
-//	KernelFor(m)(qry bound to q, cand) == DistanceSq(m, cand, q)
+//	KernelForCore(m, kind)(qry bound to q, cand) == DistanceSq(m, cand, q)
 //
-// bit-for-bit. The kernels therefore perform the same floating-point
-// operations in the same order as the generic path — hoisting only whole
+// bit-for-bit, where DistanceSq is the generic per-pair oracle in
+// distance_ref_test.go. The kernels perform the same floating-point
+// operations in the same order as the oracle, hoisting only whole
 // subexpressions (q.LS[i]/Nq, q.SS/Nq) whose values are unchanged by
-// being computed earlier. kernel_test.go property-checks this for all
-// five metrics, including the cancellation cases the clamp guards exist
-// for, so the specialization cannot drift numerically.
+// being computed earlier. Every metric is also bitwise symmetric in its
+// operands — x − y = −(y − x) exactly, + and × commute exactly, and both
+// orders sum the components in the same order — so binding either
+// operand of a pair gives the same bits. kernel_test.go checks both for
+// every (metric, core) pair, in both operand orders, including the
+// cancellation cases the clamp guards exist for.
 
 // Kernel computes the squared metric distance between one candidate CF
 // and the query bound into q. Implementations are top-level functions
-// (closure-free): KernelFor resolves the metric switch once, and the
-// per-entry call is a plain indirect call with no captured state.
+// (closure-free): KernelForCore resolves the metric switch once, and the
+// per-pair call is a plain indirect call with no captured state. Callers
+// pass the address of a slice element, never of a range copy: the
+// indirect call lets the compiler assume the pointer escapes, which would
+// move the copy to the heap on every iteration.
 type Kernel func(q *Query, cand *CF) float64
 
 // Query holds a copy of a query CF together with its hoisted constant
@@ -108,12 +117,6 @@ func (q *Query) Bind(c *CF) {
 		nsq += v * v
 	}
 	q.x0Norm = math.Sqrt(nsq)
-}
-
-// KernelFor returns the specialized kernel for metric m under the
-// classic backend.
-func KernelFor(m Metric) Kernel {
-	return KernelForCore(m, CoreClassic)
 }
 
 // KernelForCore returns the specialized kernel for metric m under the
@@ -264,12 +267,8 @@ func kernelCos(q *Query, cand *CF) float64 {
 	return cosDistSq(dot, math.Sqrt(aa), q.x0Norm)
 }
 
-// The BETULA kernels mirror the betula DistanceSq bodies (distance.go)
-// bit-for-bit, under the same exactness contract as the classic kernels:
-// for every metric m and non-empty BETULA pair,
-//
-//	KernelForCore(m, CoreBETULA)(qry bound to q, cand) == DistanceSq(m, cand, q)
-//
+// The BETULA kernels mirror the betula DistanceSq bodies of the oracle
+// bit-for-bit, under the same exactness contract as the classic kernels.
 // Candidate centroids are the stored means, so the per-candidate ls/na
 // divisions of the classic kernels disappear — the betula inner loops
 // are pure subtract-multiply streams.

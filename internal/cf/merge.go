@@ -34,8 +34,9 @@ func MergedRadiusSq(a, b *CF) float64 {
 	return r2
 }
 
-// MergedDiameterSq returns D² of the cluster a ∪ b (identical to
-// DistanceSq(D3, a, b) but total: it permits empty operands).
+// MergedDiameterSq returns D² of the cluster a ∪ b: the D3 distance
+// (kernelD3 and kernelD3b give the same bits for non-empty operands), but
+// total — it permits empty operands.
 //
 //birchlint:hotpath
 func MergedDiameterSq(a, b *CF) float64 {
@@ -49,6 +50,43 @@ func MergedDiameterSq(a, b *CF) float64 {
 		return mergedDiameterSqBetula(a, b)
 	}
 	return mergedDiameterSq(a, b)
+}
+
+// mergedDiameterSq computes D3² = D²(a ∪ b) without materializing the
+// merged CF.
+func mergedDiameterSq(a, b *CF) float64 {
+	n := float64(a.N + b.N)
+	if n < 2 {
+		return 0
+	}
+	ss := a.SS + b.SS
+	var lsSq float64
+	for i := range a.LS {
+		s := a.LS[i] + b.LS[i]
+		lsSq += s * s
+	}
+	d2 := (2*n*ss - 2*lsSq) / (n * (n - 1))
+	if d2 < 0 {
+		return 0
+	}
+	return d2
+}
+
+// mergedDiameterSqBetula computes D3² = 2·S(a ∪ b)/(N−1) with the merged
+// deviation sum S(a ∪ b) = Sa + Sb + (Na·Nb/N)·‖μa − μb‖².
+func mergedDiameterSqBetula(a, b *CF) float64 {
+	n := float64(a.N + b.N)
+	if n < 2 {
+		return 0
+	}
+	na, nb := float64(a.N), float64(b.N)
+	var d2 float64
+	for i := range a.LS {
+		d := a.LS[i] - b.LS[i]
+		d2 += d * d
+	}
+	s := a.SS + b.SS + na*nb/n*d2
+	return 2 * s / (n - 1)
 }
 
 // ThresholdKind selects which cluster property the CF-tree threshold T

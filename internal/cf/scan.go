@@ -29,12 +29,12 @@ import (
 // Exactness contract: for every metric m, non-empty query q and Block blk
 // whose slots are in sync with entries e_0..e_k (Block.CheckSync),
 //
-//	ScanKernelFor(m)(qry bound to q, blk)
+//	ScanKernelForCore(m, kind)(qry bound to q, blk)
 //
 // returns exactly the (index, distance) the per-entry loop
 //
-//	best, bestD := 0, KernelFor(m)(qry, &e_0)
-//	for i := 1..k { if d := KernelFor(m)(qry, &e_i); d < bestD { ... } }
+//	best, bestD := 0, KernelForCore(m, kind)(qry, &e_0)
+//	for i := 1..k { if d := KernelForCore(m, kind)(qry, &e_i); d < bestD { ... } }
 //
 // would produce — bit-for-bit distances, ties keeping the lowest index.
 // Lanes reorder nothing that is rounded: each candidate is still summed
@@ -44,7 +44,7 @@ import (
 // `i == 0 || d < bestD` update (pick), so ties and non-finite distances
 // resolve exactly as in the one-at-a-time loop. The scan bodies perform
 // the same floating-point operations in the same order as the kernels
-// (and therefore as the generic DistanceSq); the only hoisted values are
+// (and therefore as the DistanceSq oracle); the only hoisted values are
 // whole subexpressions (LS[j]/N, SS/N, float64(N)) stored in the block by
 // the very operations the kernels would perform, so no reassociation
 // occurs anywhere. The single-accumulator bodies these kernels replaced
@@ -57,12 +57,6 @@ import (
 // bound into q, together with its squared metric distance. The block must
 // be non-empty and slot-synced with the entries it summarizes.
 type ScanKernel func(q *Query, b *Block) (idx int, d float64)
-
-// ScanKernelFor returns the fused argmin scan for metric m under the
-// classic backend.
-func ScanKernelFor(m Metric) ScanKernel {
-	return ScanKernelForCore(m, CoreClassic)
-}
 
 // ScanKernelForCore returns the fused argmin scan for metric m under the
 // given CF-core backend. Blocks handed to the returned scan must carry
@@ -125,7 +119,7 @@ func pick(best int, bestD float64, i int, d float64) (int, float64) {
 // returning the winning slot index and that squared distance.
 //
 // Unlike scanD0 it performs no sqrt-then-square round trip, because its
-// reference loop is not DistanceSq(D0) but the flat nearest-centroid
+// reference loop is not kernelD0 but the flat nearest-centroid
 // brute loop over vec.SqDist that Phase 4 assignment, Lloyd iteration,
 // Result.Classify and the exact k-d tree all minimize. The agreement is
 // bit-for-bit: each slot's term (v − q[j])² equals the brute loop's

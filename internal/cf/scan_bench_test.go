@@ -38,8 +38,8 @@ func benchCandsCore(dim, k int, kind CoreKind) ([]CF, *Block, *Query) {
 
 func benchmarkScan(b *testing.B, m Metric, dim, k int) {
 	cands, blk, q := benchCands(dim, k)
-	kern := KernelFor(m)
-	scan := ScanKernelFor(m)
+	kern := KernelForCore(m, CoreClassic)
+	scan := ScanKernelForCore(m, CoreClassic)
 
 	b.Run("entries", func(b *testing.B) {
 		sink := 0

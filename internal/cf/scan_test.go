@@ -38,7 +38,10 @@ var (
 	scanCores        = []CoreKind{CoreClassic, CoreBETULA}
 )
 
-// randCFCore is randCF under the given backend.
+// randCFCore builds a valid CF of the given backend by folding n random
+// points around a center of the given magnitude, so Cauchy–Schwarz holds
+// by construction and large magnitudes exercise the cancellation regime
+// the clamps guard.
 func randCFCore(r *rand.Rand, dim, n int, magnitude float64, kind CoreKind) CF {
 	c := NewCore(dim, kind)
 	center := vec.New(dim)
@@ -206,8 +209,8 @@ func TestScanAfterIncrementalMaintenance(t *testing.T) {
 	r := rand.New(rand.NewSource(45))
 	const dim = 6
 	for _, m := range []Metric{D0, D1, D2, D3, D4} {
-		kernel := KernelFor(m)
-		scan := ScanKernelFor(m)
+		kernel := KernelForCore(m, CoreClassic)
+		scan := ScanKernelForCore(m, CoreClassic)
 		q := NewQuery(dim)
 
 		cands := make([]CF, 8)
@@ -247,12 +250,14 @@ func TestScanAfterIncrementalMaintenance(t *testing.T) {
 	}
 }
 
-// TestScanKernelForValidation pins the metric switch.
+// TestScanKernelForValidation pins the metric switch under both cores.
 func TestScanKernelForValidation(t *testing.T) {
-	for _, m := range []Metric{D0, D1, D2, D3, D4} {
-		if ScanKernelFor(m) == nil {
-			t.Fatalf("ScanKernelFor(%v) = nil", m)
+	for _, kind := range scanCores {
+		for _, m := range denseScanMetrics {
+			if ScanKernelForCore(m, kind) == nil {
+				t.Fatalf("ScanKernelForCore(%v, %v) = nil", m, kind)
+			}
 		}
+		mustPanic(t, "invalid metric", func() { ScanKernelForCore(Metric(99), kind) })
 	}
-	mustPanic(t, "invalid metric", func() { ScanKernelFor(Metric(99)) })
 }

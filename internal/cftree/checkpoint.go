@@ -104,7 +104,7 @@ func (t *Tree) WriteCheckpoint(w io.Writer) error {
 // charging its pages to pgr. params must carry the same identity
 // (Dim, Core, Metric, ThresholdKind) the checkpoint was written under;
 // params.Threshold is ignored in favour of the checkpointed value. The
-// perf-only knobs (Scan, capacities) are taken from params. r may be a
+// other fields (capacities, merging refinement) are taken from params. r may be a
 // *cf.Reader positioned at the image.
 func ReadCheckpoint(r io.Reader, params Params, pgr *pager.Pager) (*Tree, error) {
 	if err := params.Validate(); err != nil {

@@ -207,27 +207,6 @@ func TestCheckpointEmptyTree(t *testing.T) {
 	}
 }
 
-func TestCheckpointPerfKnobsMayDiffer(t *testing.T) {
-	// Scan modes are bit-identical by construction, so a checkpoint
-	// written under one may be loaded under another.
-	params := defaultParams()
-	tr := buildTree(t, params, 5, 300)
-	var buf bytes.Buffer
-	if err := tr.WriteCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	alt := params
-	alt.Scan = ScanEntries
-	got, err := ReadCheckpoint(bytes.NewReader(buf.Bytes()), alt, bigPager())
-	if err != nil {
-		t.Fatalf("ReadCheckpoint with different perf knobs: %v", err)
-	}
-	if err := got.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	equalTreesBitwise(t, "perf knobs", tr, got)
-}
-
 func TestCheckpointIdentityMismatchRejected(t *testing.T) {
 	params := defaultParams()
 	tr := buildTree(t, params, 3, 100)

@@ -151,8 +151,8 @@ const closestPairChunk = 32
 //
 // workers bounds the goroutines scanning leaves; values ≤ 1 run inline.
 // The all-pairs scan inside each leaf is independent of every other leaf,
-// so leaves fan out whole. The result is identical for every worker
-// count.
+// so leaves fan out whole, each chunk binding its rows into its own
+// Query. The result is identical for every worker count.
 func (t *Tree) ClosestLeafPairDistance(workers int) (float64, bool) {
 	var leaves []*Node
 	for leaf := t.leafHead; leaf != nil; leaf = leaf.next {
@@ -169,13 +169,14 @@ func (t *Tree) ClosestLeafPairDistance(workers int) (float64, bool) {
 	scan := func(c int) {
 		lo := c * closestPairChunk
 		hi := min(lo+closestPairChunk, n)
+		q := cf.NewQuery(t.params.Dim)
 		best := 0.0
 		found := false
 		for _, leaf := range leaves[lo:hi] {
-			for i := 0; i < len(leaf.entries); i++ {
+			for i := 0; i < len(leaf.entries)-1; i++ {
+				q.Bind(&leaf.entries[i].CF)
 				for j := i + 1; j < len(leaf.entries); j++ {
-					d := cf.DistanceSq(t.params.Metric,
-						&leaf.entries[i].CF, &leaf.entries[j].CF)
+					d := t.kernel(q, &leaf.entries[j].CF)
 					if !found || d < best {
 						best, found = d, true
 					}

@@ -33,21 +33,19 @@ func randSparsePoint(r *rand.Rand, dim, nnz int) vec.Sparse {
 // CF word, the leaf-chain permutation — to streaming their
 // densifications through Insert. Covered across the gather metrics
 // (DCos both cores, D2 classic), a densify-fallback metric (D0, whose
-// algebra admits no gather), both scan modes, and densities on both
-// sides of the SparseGatherMaxDensity crossover.
+// algebra admits no gather), and densities on both sides of the
+// SparseGatherMaxDensity crossover.
 func TestInsertSparseMatchesDenseInsert(t *testing.T) {
 	const dim = 24
 	cases := []struct {
 		name   string
 		metric cf.Metric
 		core   cf.CoreKind
-		scan   ScanMode
 	}{
-		{"dcos_classic_fused", cf.DCos, cf.CoreClassic, ScanFused},
-		{"dcos_betula_fused", cf.DCos, cf.CoreBETULA, ScanFused},
-		{"d2_classic_fused", cf.D2, cf.CoreClassic, ScanFused},
-		{"d0_classic_fused", cf.D0, cf.CoreClassic, ScanFused},
-		{"dcos_classic_entries", cf.DCos, cf.CoreClassic, ScanEntries},
+		{"dcos_classic", cf.DCos, cf.CoreClassic},
+		{"dcos_betula", cf.DCos, cf.CoreBETULA},
+		{"d2_classic", cf.D2, cf.CoreClassic},
+		{"d0_classic", cf.D0, cf.CoreClassic},
 	}
 	for _, tc := range cases {
 		// nnz 2 is far under the crossover (gather path when supported);
@@ -58,7 +56,6 @@ func TestInsertSparseMatchesDenseInsert(t *testing.T) {
 			p.Dim = dim
 			p.Metric = tc.metric
 			p.Core = tc.core
-			p.Scan = tc.scan
 			p.Threshold = 1.5
 			dense := mustTree(t, p)
 			sparse := mustTree(t, p)

@@ -1,9 +1,5 @@
 package cftree
 
-import (
-	"birch/internal/cf"
-)
-
 // splitNode splits the overflowing node n in place: it chooses the
 // farthest pair of entries as seeds (Section 4.3, "Node splitting is done
 // by choosing the farthest pair of entries as seeds, and redistributing
@@ -25,7 +21,9 @@ func (t *Tree) splitNode(n *Node) *Node {
 // redistribute splits the given entries between nodes a and b: the
 // farthest pair under the tree's metric seed the two nodes, and every
 // other entry joins the seed it is closer to, subject to neither node
-// exceeding its capacity.
+// exceeding its capacity. Each entry is bound once as the query and the
+// kernel is applied to both seeds; every metric is bitwise symmetric in
+// its operands, so these are the entry-to-seed distances exactly.
 func (t *Tree) redistribute(entries []Entry, a, b *Node) {
 	if len(entries) < 2 {
 		panic("cftree: redistribute needs at least 2 entries")
@@ -42,12 +40,13 @@ func (t *Tree) redistribute(entries []Entry, a, b *Node) {
 	cfA := &a.entries[0].CF
 	cfB := &b.entries[0].CF
 
-	for i, e := range entries {
+	for i := range entries {
 		if i == seedA || i == seedB {
 			continue
 		}
-		dA := cf.DistanceSq(t.params.Metric, &e.CF, cfA)
-		dB := cf.DistanceSq(t.params.Metric, &e.CF, cfB)
+		t.query.Bind(&entries[i].CF)
+		dA := t.kernel(t.query, cfA)
+		dB := t.kernel(t.query, cfB)
 		toA := dA <= dB
 		if toA && len(a.entries) >= capacity {
 			toA = false
@@ -55,20 +54,21 @@ func (t *Tree) redistribute(entries []Entry, a, b *Node) {
 			toA = true
 		}
 		if toA {
-			a.appendEntry(e)
+			a.appendEntry(entries[i])
 		} else {
-			b.appendEntry(e)
+			b.appendEntry(entries[i])
 		}
 	}
 }
 
 // farthestPair returns the indices of the two entries at maximum pairwise
-// distance under the tree's metric.
+// distance under the tree's metric, binding each row's entry once.
 func (t *Tree) farthestPair(entries []Entry) (int, int) {
 	bi, bj, bd := 0, 1, -1.0
-	for i := 0; i < len(entries); i++ {
+	for i := 0; i < len(entries)-1; i++ {
+		t.query.Bind(&entries[i].CF)
 		for j := i + 1; j < len(entries); j++ {
-			d := cf.DistanceSq(t.params.Metric, &entries[i].CF, &entries[j].CF)
+			d := t.kernel(t.query, &entries[j].CF)
 			if d > bd {
 				bi, bj, bd = i, j, d
 			}
@@ -128,17 +128,16 @@ func (t *Tree) mergingRefinement(parent *Node, splitIdxA, splitIdxB int) {
 }
 
 // closestPair returns the indices (i < j) of the two closest entries under
-// the tree's metric.
+// the tree's metric, binding each row's entry once. The first pair seeds
+// the minimum and later pairs replace it only when strictly closer.
 func (t *Tree) closestPair(entries []Entry) (int, int) {
 	bi, bj := 0, 1
-	bd := cf.DistanceSq(t.params.Metric, &entries[0].CF, &entries[1].CF)
-	for i := 0; i < len(entries); i++ {
+	var bd float64
+	for i := 0; i < len(entries)-1; i++ {
+		t.query.Bind(&entries[i].CF)
 		for j := i + 1; j < len(entries); j++ {
-			if i == 0 && j == 1 {
-				continue
-			}
-			d := cf.DistanceSq(t.params.Metric, &entries[i].CF, &entries[j].CF)
-			if d < bd {
+			d := t.kernel(t.query, &entries[j].CF)
+			if (i == 0 && j == 1) || d < bd {
 				bi, bj, bd = i, j, d
 			}
 		}

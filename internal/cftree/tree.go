@@ -28,42 +28,10 @@ type Params struct {
 	// MergingRefinement enables the split-ameliorating merge step of
 	// Section 4.3 (on by default in the paper's algorithm description).
 	MergingRefinement bool
-	// Scan selects the closest-entry scan implementation. The default
-	// ScanFused walks each node's contiguous scan block with the fused
-	// argmin kernel; ScanEntries keeps the per-entry kernel loop as the
-	// reference path for differential tests and benchmark baselines. Both
-	// produce bit-identical trees.
-	Scan ScanMode
 	// Core selects the CF statistic backend: the paper's (N, LS, SS)
 	// triple (default) or the numerically stable BETULA mean/deviation
 	// form. Every entry inserted must carry this kind.
 	Core cf.CoreKind
-}
-
-// ScanMode selects how the closest-entry scan is executed.
-type ScanMode int
-
-const (
-	// ScanFused walks the node's contiguous scan block with the fused
-	// per-metric argmin kernel — no indirect call per candidate, linear
-	// slab reads (the default).
-	ScanFused ScanMode = iota
-	// ScanEntries evaluates the specialized kernel per entry, chasing
-	// each entry's own LS vector. Kept as the bit-exact reference
-	// implementation.
-	ScanEntries
-)
-
-// String names the scan mode.
-func (s ScanMode) String() string {
-	switch s {
-	case ScanFused:
-		return "fused"
-	case ScanEntries:
-		return "entries"
-	default:
-		return fmt.Sprintf("ScanMode(%d)", int(s))
-	}
 }
 
 // Validate reports parameter errors.
@@ -82,9 +50,6 @@ func (p Params) Validate() error {
 	}
 	if !p.Metric.Valid() {
 		return fmt.Errorf("cftree: invalid metric %v", p.Metric)
-	}
-	if p.Scan != ScanFused && p.Scan != ScanEntries {
-		return fmt.Errorf("cftree: invalid scan mode %v", p.Scan)
 	}
 	if !p.Core.Valid() {
 		return fmt.Errorf("cftree: invalid core kind %v", p.Core)
@@ -112,22 +77,23 @@ type Tree struct {
 	leafEntries int
 	points      int64 // total N folded into the tree
 
-	// kernel is the metric-specialized distance kernel, resolved once at
-	// construction instead of switching on the metric per candidate pair.
+	// kernel is the metric-specialized pair distance, resolved once at
+	// construction. The split, refinement and D_min paths bind one
+	// operand of each row into a Query and call it per pair.
 	kernel cf.Kernel
 	// scan is the fused argmin kernel that walks a node's scan block in
-	// one call; nil when params.Scan is ScanEntries, in which case
-	// closestEntry falls back to the per-entry kernel loop.
+	// one call: the descent's closest-entry scan.
 	scan cf.ScanKernel
 	// sscan is the sparse gather argmin scan — O(nnz) per candidate
 	// instead of O(d) — resolved when the metric's algebra admits a
-	// bit-identical gather (DCos under either core, D2 classic) and the
-	// scan mode is fused; nil otherwise. InsertSparse descends through it
-	// when the point's density is below the measured gather/dense
-	// crossover.
+	// bit-identical gather (DCos under either core, D2 classic); nil
+	// otherwise. InsertSparse descends through it when the point's
+	// density is below the measured gather/dense crossover.
 	sscan cf.ScanKernel
 	// query carries the incoming entry's hoisted constant terms during
-	// an insertion's closest-entry scans. Reused across insertions.
+	// an insertion's closest-entry scans. Reused across insertions; once
+	// the descent is done, the split and refinement paths rebind it to
+	// each row of their pair loops.
 	query *cf.Query
 	// spCF is the scratch singleton CF a sparse insert densifies into,
 	// reused so InsertSparse stays allocation-free on the absorb path.
@@ -144,11 +110,9 @@ func (t *Tree) initKernels() {
 	t.kernel = cf.KernelForCore(p.Metric, p.Core)
 	t.query = cf.NewQuery(p.Dim)
 	t.spCF = cf.NewCore(p.Dim, p.Core)
-	if p.Scan == ScanFused {
-		t.scan = cf.ScanKernelForCore(p.Metric, p.Core)
-		if s, ok := cf.SparseScanKernelForCore(p.Metric, p.Core); ok {
-			t.sscan = s
-		}
+	t.scan = cf.ScanKernelForCore(p.Metric, p.Core)
+	if s, ok := cf.SparseScanKernelForCore(p.Metric, p.Core); ok {
+		t.sscan = s
 	}
 }
 
@@ -299,7 +263,7 @@ func (t *Tree) insertBound(ent cf.CF, allowSplit bool) error {
 	path := t.path[:0]
 	n := t.root
 	for !n.leaf {
-		idx := t.closestEntry(n)
+		idx, _ := t.closestEntry(n)
 		path = append(path, pathStep{n, idx})
 		n = n.entries[idx].Child
 	}
@@ -308,7 +272,7 @@ func (t *Tree) insertBound(ent cf.CF, allowSplit bool) error {
 	// Phase B: decide at the leaf.
 	absorbIdx := -1
 	if len(n.entries) > 0 {
-		idx := t.closestEntry(n)
+		idx, _ := t.closestEntry(n)
 		if cf.MergedSatisfiesThreshold(&n.entries[idx].CF, &ent,
 			t.params.ThresholdKind, t.params.Threshold) {
 			absorbIdx = idx
@@ -345,32 +309,21 @@ func (t *Tree) insertBound(ent cf.CF, allowSplit bool) error {
 }
 
 // closestEntry returns the index of the entry of n nearest to the bound
-// query under the tree's metric. n must be non-empty and t.query bound.
-// The default path is one fused argmin call over the node's contiguous
-// scan block; ScanEntries keeps the per-entry kernel loop as the
-// reference. Both are bit-identical to cf.DistanceSq per pair and keep
-// the lowest index on ties, so the choice always matches the generic
-// scan exactly (scan_test.go and the ScanMode differential test pin
-// this).
+// query under the tree's metric, with its squared distance. n must be
+// non-empty and t.query bound. It is one argmin call over the node's
+// contiguous scan block: the sparse gather scan for a sparse query the
+// gather serves, the four-lane dense scan otherwise. Both return the
+// per-entry kernel loop's index and distance bits, keeping the lowest
+// index on ties (cf's scan batteries pin the scans to the kernel loop,
+// and TestClosestEntryMatchesKernelLoop pins every node of sampled
+// descents).
 //
 //birchlint:hotpath
-func (t *Tree) closestEntry(n *Node) int {
+func (t *Tree) closestEntry(n *Node) (int, float64) {
 	if t.sscan != nil && t.query.Sparse() {
-		idx, _ := t.sscan(t.query, n.blk)
-		return idx
+		return t.sscan(t.query, n.blk)
 	}
-	if t.scan != nil {
-		idx, _ := t.scan(t.query, n.blk)
-		return idx
-	}
-	best, bestD := 0, t.kernel(t.query, &n.entries[0].CF)
-	for i := 1; i < len(n.entries); i++ {
-		d := t.kernel(t.query, &n.entries[i].CF)
-		if d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best
+	return t.scan(t.query, n.blk)
 }
 
 // capacityOf returns the entry capacity of node n.

@@ -63,20 +63,10 @@ func (r *Result) ClassifySparse(sp vec.Sparse) (int, float64) {
 
 // ClassifySparseBatch classifies many sparse points in one call,
 // identical to ClassifyBatch over their densifications. The batch is
-// densified into a single backing array (one allocation for the whole
-// batch); all points must share the result's dimensionality.
+// densified into a single backing array (vec.DenseBatch); all points
+// must share the result's dimensionality.
 func (r *Result) ClassifySparseBatch(points []vec.Sparse, workers int) ([]int, []float64) {
-	dense := make([]vec.Vector, len(points))
-	if len(points) > 0 {
-		d := points[0].Dim()
-		backing := make([]float64, len(points)*d)
-		for i, sp := range points {
-			row := vec.Vector(backing[i*d : (i+1)*d])
-			sp.DenseInto(row)
-			dense[i] = row
-		}
-	}
-	return r.ClassifyBatch(dense, workers)
+	return r.ClassifyBatch(vec.DenseBatch(points), workers)
 }
 
 // IsOutlier reports whether a new point would be treated as an outlier

@@ -67,9 +67,16 @@ func Cluster(items []cf.CF, opts Options) (*Result, error) {
 	if !opts.Metric.Valid() {
 		return nil, fmt.Errorf("hc: invalid metric %v", opts.Metric)
 	}
+	kind, dim := items[0].Kind(), items[0].Dim()
 	for i := range items {
 		if items[i].N == 0 {
 			return nil, fmt.Errorf("hc: item %d is empty", i)
+		}
+		// The kernels assume one core and one dimension across every
+		// pair, so a mixed input is rejected here, before any distance.
+		if items[i].Kind() != kind || items[i].Dim() != dim {
+			return nil, fmt.Errorf("hc: item %d is a %d-d %v CF, item 0 a %d-d %v CF",
+				i, items[i].Dim(), items[i].Kind(), dim, kind)
 		}
 	}
 	targetK := opts.K
@@ -85,7 +92,8 @@ func Cluster(items []cf.CF, opts Options) (*Result, error) {
 		dist:     newMatrix(m),
 		nn:       make([]int, m),
 		nnDist:   make([]float64, m),
-		metric:   opts.Metric,
+		q:        cf.NewQuery(dim),
+		kernel:   cf.KernelForCore(opts.Metric, kind),
 	}
 	for i := range items {
 		st.clusters[i] = items[i].Clone()
@@ -136,7 +144,11 @@ type state struct {
 	dist     matrix
 	nn       []int // nearest active neighbor per active cluster
 	nnDist   []float64
-	metric   cf.Metric
+	// q binds one cluster of a distance-matrix row; kernel is the metric's
+	// pair distance. Every metric is bitwise symmetric in its operands,
+	// so a row-bound kernel fills (i, j) and (j, i) with the same bits.
+	q      *cf.Query
+	kernel cf.Kernel
 }
 
 func (s *state) find(i int) int {
@@ -149,10 +161,10 @@ func (s *state) find(i int) int {
 
 func (s *state) initDistances() {
 	m := len(s.clusters)
-	for i := 0; i < m; i++ {
+	for i := 0; i < m-1; i++ {
+		s.q.Bind(&s.clusters[i])
 		for j := i + 1; j < m; j++ {
-			d := cf.DistanceSq(s.metric, &s.clusters[i], &s.clusters[j])
-			s.dist.set(i, j, d)
+			s.dist.set(i, j, s.kernel(s.q, &s.clusters[j]))
 		}
 	}
 	for i := 0; i < m; i++ {
@@ -197,12 +209,12 @@ func (s *state) merge(a, b int) {
 	s.parent[b] = a
 
 	// Recompute distances from the merged cluster to every active peer.
+	s.q.Bind(&s.clusters[a])
 	for j := range s.clusters {
 		if j == a || !s.active[j] {
 			continue
 		}
-		d := cf.DistanceSq(s.metric, &s.clusters[a], &s.clusters[j])
-		s.dist.set(a, j, d)
+		s.dist.set(a, j, s.kernel(s.q, &s.clusters[j]))
 	}
 	// NN caches: a changed; anyone whose NN was a or b must rescan;
 	// everyone else can only get a better candidate from the new a.

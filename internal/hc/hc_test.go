@@ -39,6 +39,40 @@ func TestClusterValidation(t *testing.T) {
 	}
 }
 
+// TestClusterRejectsMixedItems: an input mixing CF cores or dimensions
+// is rejected with an error naming the first item that differs from
+// item 0, before any distance is computed — never a panic, and never a
+// kernel reading a shorter CF's components out of bounds.
+func TestClusterRejectsMixedItems(t *testing.T) {
+	classic2 := cf.FromPoint(vec.Of(1, 2))
+	betula2 := cf.CoreFor(cf.CoreBETULA).FromPoint(vec.Of(1, 2))
+	classic3 := cf.FromPoint(vec.Of(1, 2, 3))
+	cases := []struct {
+		name  string
+		items []cf.CF
+		want  string
+	}{
+		{"mixed kinds", []cf.CF{classic2, classic2.Clone(), betula2}, "hc: item 2 is a 2-d betula CF, item 0 a 2-d classic CF"},
+		{"2-d then 3-d", []cf.CF{classic2, classic3, classic2.Clone()}, "hc: item 1 is a 3-d classic CF, item 0 a 2-d classic CF"},
+		{"3-d then 2-d", []cf.CF{classic3, classic2}, "hc: item 1 is a 2-d classic CF, item 0 a 3-d classic CF"},
+	}
+	for _, tc := range cases {
+		for _, m := range []cf.Metric{cf.D0, cf.D2, cf.DCos} {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("%s %v: panic %v", tc.name, m, r)
+					}
+				}()
+				res, err := Cluster(tc.items, Options{K: 1, Metric: m})
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("%s %v: got (%v, %v), want error %q", tc.name, m, res, err, tc.want)
+				}
+			}()
+		}
+	}
+}
+
 func TestTwoObviousClusters(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	items := append(blob(r, 20, 0, 0, 0.1), blob(r, 20, 100, 100, 0.1)...)

@@ -200,10 +200,9 @@ func AssignPointsReference(points []vec.Vector, centroids []vec.Vector, discardB
 		limit = discardBeyond * discardBeyond
 	}
 
-	nearest := bruteNearestFunc(centroids)
+	nearest := func(p vec.Vector) (int, float64) { return NearestBrute(centroids, p) }
 	if len(centroids) >= kdTreeThreshold {
-		tree := kdtree.Build(centroids)
-		nearest = tree.Nearest
+		nearest = kdtree.Build(centroids).Nearest
 	}
 	for i, p := range points {
 		best, bestD := nearest(p)
@@ -215,17 +214,4 @@ func AssignPointsReference(points []vec.Vector, centroids []vec.Vector, discardB
 		sums[best].AddPoint(p)
 	}
 	return labels, sums
-}
-
-// bruteNearestFunc returns a closure performing the O(K) scan.
-func bruteNearestFunc(centroids []vec.Vector) func(vec.Vector) (int, float64) {
-	return func(p vec.Vector) (int, float64) {
-		best, bestD := 0, vec.SqDist(p, centroids[0])
-		for c := 1; c < len(centroids); c++ {
-			if d := vec.SqDist(p, centroids[c]); d < bestD {
-				best, bestD = c, d
-			}
-		}
-		return best, bestD
-	}
 }

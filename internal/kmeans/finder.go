@@ -125,15 +125,27 @@ func (f *Finder) Nearest(p vec.Vector) (int, float64) {
 	case FinderKD:
 		return f.kd.Nearest(p)
 	default:
-		cs := f.centroids
-		best, bestD := 0, vec.SqDist(p, cs[0])
-		for c := 1; c < len(cs); c++ {
-			if d := vec.SqDist(p, cs[c]); d < bestD {
-				best, bestD = c, d
-			}
-		}
-		return best, bestD
+		return NearestBrute(f.centroids, p)
 	}
+}
+
+// NearestBrute is the reference nearest-centroid loop: the index of the
+// centroid closest to p and the squared Euclidean distance to it, by
+// vec.SqDist over every centroid in order. The first centroid seeds the
+// minimum and a later one replaces it only when strictly closer, the
+// fused scan's rule (cf.ScanNearestX0): ties keep the lowest index, and
+// when every distance is +Inf or NaN the answer is centroid 0 with its
+// distance, never "no centroid". centroids must be non-empty.
+//
+//birchlint:hotpath
+func NearestBrute(centroids []vec.Vector, p vec.Vector) (int, float64) {
+	best, bestD := 0, vec.SqDist(p, centroids[0])
+	for c := 1; c < len(centroids); c++ {
+		if d := vec.SqDist(p, centroids[c]); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best, bestD
 }
 
 // NearestBatch fills idx[i], sqDist[i] with the nearest centroid of

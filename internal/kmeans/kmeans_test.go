@@ -248,9 +248,8 @@ func TestAssignPointsKdTreeMatchesBrute(t *testing.T) {
 	}
 	kdLabels, kdSums := AssignPoints(points, centroids, 0)
 
-	brute := bruteNearestFunc(centroids)
 	for i, p := range points {
-		want, wantD := brute(p)
+		want, wantD := NearestBrute(centroids, p)
 		if kdLabels[i] != want {
 			gotD := vec.SqDist(p, centroids[kdLabels[i]])
 			if gotD != wantD {

@@ -301,14 +301,7 @@ func (s *Server) handleClassify(w http.ResponseWriter, r *http.Request) {
 		// bit-identical sparse gather form (internal/cf/sparse.go), so
 		// sparse queries densify at the boundary into one backing array —
 		// the results are contractually identical to the dense request.
-		dim := s.b.Dim()
-		backing := make([]float64, len(sps)*dim)
-		pts = make([]vec.Vector, len(sps))
-		for i, sp := range sps {
-			row := vec.Vector(backing[i*dim : (i+1)*dim])
-			sp.DenseInto(row)
-			pts[i] = row
-		}
+		pts = vec.DenseBatch(sps)
 	}
 	if len(pts) == 0 {
 		s.writeClassifyResult(w, r, nil, nil)

@@ -24,11 +24,11 @@ import (
 // close-during-backpressure, flush-after-close, double-close and other
 // interleavings the hand-written tests fix only single instances of.
 func FuzzStreamInsertClose(f *testing.F) {
-	f.Add([]byte{0x00, 0x41, 0x12, 0x83, 0x24, 0xff})          // insert/flush mix, close tail
-	f.Add([]byte{0xff, 0x00, 0x10, 0xff})                      // close first, ops after
-	f.Add([]byte{0x21, 0x21, 0x83, 0x21, 0x64, 0x45, 0x21})    // flush/classify heavy
-	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07})    // small insert storm
-	f.Add([]byte{0xa1, 0xb2, 0xc3, 0xff, 0xff, 0x01, 0x83})    // double close, late ops
+	f.Add([]byte{0x00, 0x41, 0x12, 0x83, 0x24, 0xff})       // insert/flush mix, close tail
+	f.Add([]byte{0xff, 0x00, 0x10, 0xff})                   // close first, ops after
+	f.Add([]byte{0x21, 0x21, 0x83, 0x21, 0x64, 0x45, 0x21}) // flush/classify heavy
+	f.Add([]byte{0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07}) // small insert storm
+	f.Add([]byte{0xa1, 0xb2, 0xc3, 0xff, 0xff, 0x01, 0x83}) // double close, late ops
 
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		if len(tape) > 256 {

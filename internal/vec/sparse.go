@@ -117,6 +117,22 @@ func (s Sparse) Dense() Vector {
 	return s.DenseInto(New(s.D))
 }
 
+// DenseBatch densifies a batch of sparse points into rows of one backing
+// array, so the whole batch costs two allocations. Every point must have
+// the first point's dimension (DenseInto panics otherwise).
+func DenseBatch(points []Sparse) []Vector {
+	dense := make([]Vector, len(points))
+	if len(points) == 0 {
+		return dense
+	}
+	d := points[0].D
+	backing := make([]float64, len(points)*d)
+	for i, sp := range points {
+		dense[i] = sp.DenseInto(backing[i*d : (i+1)*d : (i+1)*d])
+	}
+	return dense
+}
+
 // ScatterInto writes the stored entries into dst without clearing the
 // other coordinates — the O(NNZ) half of the maintain-a-zero-buffer
 // protocol (pair with ZeroInto after use).

@@ -162,3 +162,30 @@ func TestSparseDimMismatchPanics(t *testing.T) {
 		}()
 	}
 }
+
+// TestDenseBatch: every row equals its point's Dense, rows of one batch
+// do not overlap (appending to one row cannot write into the next), and
+// an empty batch gives an empty result.
+func TestDenseBatch(t *testing.T) {
+	pts := []Sparse{
+		{D: 4, Idx: []int32{0, 3}, Val: []float64{1.5, -2}},
+		{D: 4},
+		{D: 4, Idx: []int32{1, 2, 3}, Val: []float64{7, 8, 9}},
+	}
+	rows := DenseBatch(pts)
+	if len(rows) != len(pts) {
+		t.Fatalf("%d rows for %d points", len(rows), len(pts))
+	}
+	for i, sp := range pts {
+		if !Equal(rows[i], sp.Dense()) || cap(rows[i]) != sp.D {
+			t.Fatalf("row %d = %v (cap %d), want %v (cap %d)", i, rows[i], cap(rows[i]), sp.Dense(), sp.D)
+		}
+	}
+	_ = append(rows[0], 42)
+	if !Equal(rows[1], pts[1].Dense()) {
+		t.Fatalf("append to row 0 wrote into row 1: %v", rows[1])
+	}
+	if got := DenseBatch(nil); len(got) != 0 {
+		t.Fatalf("DenseBatch(nil) = %v", got)
+	}
+}
