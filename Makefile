@@ -48,9 +48,11 @@ test-stream:
 
 # Focused race-detector run of the parallel-tail determinism battery:
 # worker-sweep bit-exactness of Phase 4 assignment, parallel Lloyd, the
-# closest-pair scan, and the batch serving paths.
+# closest-pair scan, the batch serving paths, and the certified
+# nearest-centroid search against the brute loop (the Finder battery and
+# FuzzFinderNearest's seeds).
 test-tail:
-	$(GO) test -race -run 'TailWorkers|TestAssign|TestCluster|ClosestLeafPairDistanceWorkers|ClassifyBatch|NearestBatch' ./internal/kmeans ./internal/cftree ./internal/core ./internal/stream
+	$(GO) test -race -run 'TailWorkers|TestAssign|TestCluster|ClosestLeafPairDistanceWorkers|ClassifyBatch|NearestBatch|Finder' ./internal/kmeans ./internal/cftree ./internal/core ./internal/stream
 
 # Full crash-recovery battery (DESIGN.md §14): kill the durable engine
 # at CRASH_TRIALS randomized points per core cell (the unsynced tail, or
@@ -71,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzScanBlockSync -fuzztime $(FUZZTIME) ./internal/cftree
 	$(GO) test -run '^$$' -fuzz FuzzSparseKernelParity -fuzztime $(FUZZTIME) ./internal/cf
 	$(GO) test -run '^$$' -fuzz FuzzScanLanes -fuzztime $(FUZZTIME) ./internal/cf
+	$(GO) test -run '^$$' -fuzz FuzzFinderNearest -fuzztime $(FUZZTIME) ./internal/kmeans
 	$(GO) test -run '^$$' -fuzz FuzzStreamInsertClose -fuzztime $(FUZZTIME) ./internal/stream
 	$(GO) test -run '^$$' -fuzz FuzzWALReplay -fuzztime $(FUZZTIME) ./internal/pager
 	$(GO) test -run '^$$' -fuzz FuzzFrameDecode -fuzztime $(FUZZTIME) ./internal/server
@@ -94,8 +97,9 @@ bench-sparse:
 
 # Parallel-tail workloads only: Phase 4 refinement passes (reference vs
 # chunked Assigner at 1 and 8 workers) and the classify serving path
-# (brute/fused/kd/batch per-query cost), written to BENCH_tail.json in
-# the repo root.
+# (brute loop, Finder.Nearest and NearestBatch per-query cost, after a
+# bit-for-bit check of the finder against the brute loop), written to
+# BENCH_tail.json in the repo root.
 bench-tail:
 	$(GO) run ./cmd/birchbench -only tail -out .
 

@@ -8,8 +8,9 @@
 //   - sparse (BENCH_sparse.json): the sparse gather kernels against the
 //     dense fused scan, and the density sweeps behind
 //     cf.SparseGatherMaxDensity;
-//   - tail (BENCH_tail.json): the Phase 4 Assigner against its reference
-//     and the classify finders behind kmeans.FusedKDThreshold;
+//   - tail (BENCH_tail.json): the Phase 4 Assigner against its reference,
+//     and the certified nearest-centroid search against the brute loop
+//     it reproduces;
 //   - wal (BENCH_wal.json): WAL ingest overhead and warm-restart replay.
 //
 // End-to-end numbers (birch.Cluster on the paper's datasets, a 1M-point
@@ -111,17 +112,15 @@ type Workload struct {
 	// assignment, the standard ns column is the production Assigner at one
 	// worker, ParNsPerPoint the Assigner at the configured worker count,
 	// and SpeedupVsRef = ref/par (> 1 means the production path is
-	// faster). Classify workloads: per-query ns under each Finder mode
-	// plus the batch path; the fused-vs-kd columns across K locate the
-	// kmeans.FusedKDThreshold crossover.
-	K               int     `json:"k,omitempty"`
-	RefNsPerPoint   float64 `json:"ref_ns_per_point,omitempty"`
-	ParNsPerPoint   float64 `json:"par_ns_per_point,omitempty"`
-	SpeedupVsRef    float64 `json:"speedup_vs_ref,omitempty"`
-	BruteNsPerQuery float64 `json:"brute_ns_per_query,omitempty"`
-	FusedNsPerQuery float64 `json:"fused_ns_per_query,omitempty"`
-	KDNsPerQuery    float64 `json:"kd_ns_per_query,omitempty"`
-	BatchNsPerQuery float64 `json:"batch_ns_per_query,omitempty"`
+	// faster). Classify workloads: per-query ns of the brute loop, of
+	// kmeans.Finder.Nearest and of the batch path NearestBatch.
+	K                int     `json:"k,omitempty"`
+	RefNsPerPoint    float64 `json:"ref_ns_per_point,omitempty"`
+	ParNsPerPoint    float64 `json:"par_ns_per_point,omitempty"`
+	SpeedupVsRef     float64 `json:"speedup_vs_ref,omitempty"`
+	BruteNsPerQuery  float64 `json:"brute_ns_per_query,omitempty"`
+	FinderNsPerQuery float64 `json:"finder_ns_per_query,omitempty"`
+	BatchNsPerQuery  float64 `json:"batch_ns_per_query,omitempty"`
 }
 
 // Report is the schema of each BENCH_*.json file.

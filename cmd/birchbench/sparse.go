@@ -98,8 +98,8 @@ func sparseDocsFor(dim, nnz, n int, seed int64) []vec.Sparse {
 
 // buildSparseBlock folds the documents round-robin into `entries`
 // merged CFs — centroids dense enough to stand in for converged leaf
-// entries — and packs them into a scan block.
-func buildSparseBlock(docs []vec.Sparse, entries int, kind cf.CoreKind) *cf.Block {
+// entries — and packs them into the scan block a metric-m tree keeps.
+func buildSparseBlock(docs []vec.Sparse, entries int, m cf.Metric, kind cf.CoreKind) *cf.Block {
 	dim := docs[0].Dim()
 	if entries > len(docs) {
 		entries = len(docs) // quick mode: never leave an entry empty
@@ -112,7 +112,7 @@ func buildSparseBlock(docs []vec.Sparse, entries int, kind cf.CoreKind) *cf.Bloc
 		c := cf.FromSparsePoint(docs[i], kind)
 		cfs[i%entries].Merge(&c)
 	}
-	b := cf.NewBlockOpts(dim, entries, kind)
+	b := cf.NewBlockOpts(dim, entries, m, kind)
 	for i := range cfs {
 		b.Append(&cfs[i])
 	}
@@ -150,7 +150,7 @@ func runSparseWorkloads(quick bool, reps, _ int) map[string]Workload {
 func runSparseScan(spec sparseSpec, reps int) Workload {
 	const kind = cf.CoreClassic
 	docs := sparseDocsFor(spec.Dim, spec.NNZ, spec.N, spec.Seed)
-	blk := buildSparseBlock(docs, spec.Entries, kind)
+	blk := buildSparseBlock(docs, spec.Entries, spec.Metric, kind)
 	dense := cf.ScanKernelForCore(spec.Metric, kind)
 	gather, ok := cf.SparseScanKernelForCore(spec.Metric, kind)
 	if !ok {

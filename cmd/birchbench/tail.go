@@ -1,25 +1,26 @@
 package main
 
 // Parallel-tail workloads (BENCH_tail.json): the Phase 4 refinement inner
-// loop and the flat-scan serving path.
+// loop and the nearest-centroid serving path.
 //
 // Refine workloads time repeated nearest-centroid assignment passes over
 // a fixed point set — exactly the shape of Phase 4 with RefinePasses > 1
 // — three ways: the retained pre-parallel reference implementation
-// (kmeans.AssignPointsReference: sequential, fresh buffers per pass,
-// brute/k-d crossover at 24 centroids), the production Assigner at one
-// worker, and the production Assigner at eight. All three produce the
-// same labels; the deltas are pure implementation: fused flat scan,
+// (kmeans.AssignPointsReference: sequential, fresh buffers per pass, the
+// brute loop per point), the production Assigner at one worker, and the
+// production Assigner at eight. All three produce the same labels; the
+// deltas are pure implementation: the certified nearest-centroid search,
 // zero-alloc buffer reuse, and (on multi-core hosts) the chunked fan-out.
 // Meta records GOMAXPROCS and NumCPU — on a single-CPU host the W8
 // column measures scheduling overhead, not speedup, and the honest gain
 // is the ref→par ratio.
 //
 // Classify workloads time one query stream against a fixed centroid set
-// under each Finder mode — brute loop, fused flat scan, exact k-d tree —
-// plus the batch path (index built once, fanned across workers). The
-// fused-vs-kd columns across K are the measurement behind
-// kmeans.FusedKDThreshold.
+// three ways — the brute kmeans.NearestBrute loop, kmeans.Finder.Nearest
+// and the batch path Finder.NearestBatch (index built once, fanned across
+// workers) — after checking that the finder returns the brute loop's
+// index and distance bits for every query, ties included (the lattice
+// centroids have exact ties).
 
 import (
 	"fmt"
@@ -117,37 +118,43 @@ func runTailWorkloads(quick bool, reps, workers int) map[string]Workload {
 		centroids := tailCentroids(spec.Dim, spec.K)
 
 		w := Workload{Dim: spec.Dim, Points: spec.N, Seed: spec.Seed, K: spec.K, Workers: workers}
-		brute := kmeans.NewFinderMode(centroids, kmeans.FinderBrute)
-		fused := kmeans.NewFinderMode(centroids, kmeans.FinderFused)
-		kd := kmeans.NewFinderMode(centroids, kmeans.FinderKD)
-		auto := kmeans.NewFinder(centroids)
+		finder := kmeans.NewFinder(centroids)
 		idx := make([]int, spec.N)
 		d2 := make([]float64, spec.N)
-
-		bruteNs, fusedNs, kdNs, batchNs := math.Inf(1), math.Inf(1), math.Inf(1), math.Inf(1)
-		for r := 0; r < reps; r++ {
-			for _, m := range []struct {
-				f  *kmeans.Finder
-				ns *float64
-			}{{brute, &bruteNs}, {fused, &fusedNs}, {kd, &kdNs}} {
-				f := m.f
-				s := measure(spec.N, func() {
-					for _, q := range queries {
-						f.Nearest(q)
-					}
-				})
-				*m.ns = math.Min(*m.ns, s)
+		finder.NearestBatch(queries, idx, d2, workers)
+		for i, q := range queries {
+			wi, wd := kmeans.NearestBrute(centroids, q)
+			fi, fd := finder.Nearest(q)
+			if fi != wi || math.Float64bits(fd) != math.Float64bits(wd) ||
+				idx[i] != wi || math.Float64bits(d2[i]) != math.Float64bits(wd) {
+				fatal(fmt.Errorf("tail %s: query %d: Nearest (%d, %x), NearestBatch (%d, %x), brute (%d, %x)",
+					spec.Name, i, fi, math.Float64bits(fd), idx[i], math.Float64bits(d2[i]), wi, math.Float64bits(wd)))
 			}
+		}
+
+		bruteNs, finderNs, batchNs := math.Inf(1), math.Inf(1), math.Inf(1)
+		for r := 0; r < reps; r++ {
 			s := measure(spec.N, func() {
-				auto.NearestBatch(queries, idx, d2, workers)
+				for _, q := range queries {
+					kmeans.NearestBrute(centroids, q)
+				}
+			})
+			bruteNs = math.Min(bruteNs, s)
+			s = measure(spec.N, func() {
+				for _, q := range queries {
+					finder.Nearest(q)
+				}
+			})
+			finderNs = math.Min(finderNs, s)
+			s = measure(spec.N, func() {
+				finder.NearestBatch(queries, idx, d2, workers)
 			})
 			batchNs = math.Min(batchNs, s)
 		}
 		w.BruteNsPerQuery = bruteNs
-		w.FusedNsPerQuery = fusedNs
-		w.KDNsPerQuery = kdNs
+		w.FinderNsPerQuery = finderNs
 		w.BatchNsPerQuery = batchNs
-		w.NsPerPoint = fusedNs
+		w.NsPerPoint = finderNs
 		out[spec.Name] = w
 	}
 	return out
@@ -184,7 +191,7 @@ func verifyTail(rep *Report, quick bool) error {
 		if !ok {
 			return fmt.Errorf("missing workload %q", spec.Name)
 		}
-		if w.BruteNsPerQuery <= 0 || w.FusedNsPerQuery <= 0 || w.KDNsPerQuery <= 0 || w.BatchNsPerQuery <= 0 {
+		if w.BruteNsPerQuery <= 0 || w.FinderNsPerQuery <= 0 || w.BatchNsPerQuery <= 0 {
 			return fmt.Errorf("workload %q has degenerate measurements", spec.Name)
 		}
 	}

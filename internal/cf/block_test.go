@@ -10,11 +10,12 @@ import (
 
 // TestBlockSetAppendSync pins the maintenance invariant: after any
 // sequence of Append/Set/Remove/Truncate, every slot is bit-identical to
-// recomputation from the CF it mirrors.
+// recomputation from the CF it mirrors, in each slab set a classic tree
+// keeps (one per metric).
 func TestBlockSetAppendSync(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
-	for _, dim := range []int{1, 2, 7, 32} {
-		b := NewBlock(dim, 4)
+	for i, dim := range []int{1, 2, 7, 32, 3, 5} {
+		b := NewBlockOpts(dim, 4, denseScanMetrics[i], CoreClassic)
 		var mirror []CF
 		for i := 0; i < 12; i++ {
 			c := randCF(r, dim, 1+r.Intn(30), 50)
@@ -67,7 +68,7 @@ func checkMirror(t *testing.T, b *Block, mirror []CF) {
 // fails on a stale slot — otherwise the fuzzer's oracle is vacuous.
 func TestBlockCheckSyncDetectsDrift(t *testing.T) {
 	c := FromPoints([]vec.Vector{vec.Of(1, 2), vec.Of(3, 4)})
-	b := NewBlock(2, 2)
+	b := NewBlockOpts(2, 2, DCos, CoreClassic)
 	b.Append(&c)
 	drifted := c.Clone()
 	drifted.AddPoint(vec.Of(5, 6))
@@ -80,6 +81,69 @@ func TestBlockCheckSyncDetectsDrift(t *testing.T) {
 	if err := b.CheckSync(5, &c); err == nil {
 		t.Fatal("CheckSync accepted an out-of-range slot")
 	}
+	b.cn[0] = math.Nextafter(b.cn[0], 0)
+	if err := b.CheckSync(0, &c); err == nil {
+		t.Fatal("CheckSync accepted a stale centroid norm")
+	}
+
+	// A family outside the block's set must stay empty.
+	d2 := NewBlockOpts(2, 2, D2, CoreClassic)
+	d2.Append(&c)
+	d2.cn = append(d2.cn, 0)
+	if err := d2.CheckSync(0, &c); err == nil {
+		t.Fatal("CheckSync accepted a cn word on a D2 block")
+	}
+}
+
+// TestSlabsForTable pins the slab families each (metric, core) pair's
+// blocks maintain: what the pair's fused scan reads plus the decode
+// slabs (ls classic; x0 and sb BETULA). Classic D2/D3 keep no x0 and no
+// norm; only DCos keeps cn. Every gather scan reads a subset of its
+// pair's set, and NewBlockOpts allocates exactly the set.
+func TestSlabsForTable(t *testing.T) {
+	want := map[CoreKind]map[Metric]Slabs{
+		CoreClassic: {
+			D0: SlabX0 | SlabLS, D1: SlabX0 | SlabLS, D4: SlabX0 | SlabLS,
+			D2: SlabLS, D3: SlabLS,
+			DCos: SlabX0 | SlabLS | SlabCN,
+		},
+		CoreBETULA: {
+			D0: SlabX0 | SlabSB, D1: SlabX0 | SlabSB, D4: SlabX0 | SlabSB,
+			D2: SlabX0 | SlabSB, D3: SlabX0 | SlabSB,
+			DCos: SlabX0 | SlabSB | SlabCN,
+		},
+	}
+	for kind, byMetric := range want {
+		for m, w := range byMetric {
+			if got := SlabsFor(m, kind); got != w {
+				t.Errorf("SlabsFor(%v, %v) = %04b, want %04b", m, kind, got, w)
+			}
+			b := NewBlockOpts(3, 4, m, kind)
+			for _, f := range []struct {
+				slab  Slabs
+				words []float64
+			}{{SlabX0, b.x0}, {SlabLS, b.ls}, {SlabSB, b.sb}, {SlabCN, b.cn}} {
+				if (w&f.slab != 0) != (f.words != nil) {
+					t.Errorf("NewBlockOpts(%v, %v): slab %04b allocated = %v, in set = %v",
+						m, kind, f.slab, f.words != nil, w&f.slab != 0)
+				}
+			}
+		}
+	}
+	for _, pair := range sparseGatherPairs {
+		// The gather scans stream the same slabs as the dense scan of
+		// their pair: DCos the x0 rows and cn, classic D2 the ls rows.
+		reads := SlabX0 | SlabCN
+		if pair.m == D2 {
+			reads = SlabLS
+		}
+		if SlabsFor(pair.m, pair.kind)&reads != reads {
+			t.Errorf("(%v, %v): gather scan reads slabs %04b outside the set", pair.m, pair.kind, reads)
+		}
+	}
+	if got := NewCentroidBlock(3, 4).Slabs(); got != SlabX0 {
+		t.Errorf("centroid block keeps %04b, want x0 alone", got)
+	}
 }
 
 // TestBlockAppendCFs verifies round-tripping slots back into CFs is
@@ -87,7 +151,7 @@ func TestBlockCheckSyncDetectsDrift(t *testing.T) {
 func TestBlockAppendCFs(t *testing.T) {
 	r := rand.New(rand.NewSource(12))
 	const dim = 5
-	b := NewBlock(dim, 2)
+	b := NewBlockOpts(dim, 2, D2, CoreClassic)
 	var want []CF
 	for i := 0; i < 9; i++ {
 		c := randCF(r, dim, 1+r.Intn(20), 1e6)
@@ -121,8 +185,15 @@ func TestBlockAppendCFs(t *testing.T) {
 
 // TestBlockValidation pins the constructor and Set preconditions.
 func TestBlockValidation(t *testing.T) {
-	mustPanic(t, "zero dim", func() { NewBlock(0, 4) })
-	b := NewBlock(2, 4)
+	mustPanic(t, "zero dim", func() { NewBlockOpts(0, 4, D0, CoreClassic) })
+	mustPanic(t, "zero dim centroid block", func() { NewCentroidBlock(0, 4) })
+	mustPanic(t, "invalid metric", func() { NewBlockOpts(2, 4, Metric(99), CoreClassic) })
+	mustPanic(t, "decoding a centroid block", func() {
+		c := NewCentroidBlock(2, 1)
+		c.AppendPoint(vec.Of(1, 2))
+		c.AppendCFs(nil)
+	})
+	b := NewBlockOpts(2, 4, D0, CoreClassic)
 	empty := New(2)
 	one := FromPoint(vec.Of(1, 2))
 	b.Append(&one)

@@ -22,9 +22,10 @@ func bruteNearest(q vec.Vector, centroids []vec.Vector) (int, float64) {
 	return best, bestD
 }
 
-// centroidBlock packs the centroids one singleton slot each.
+// centroidBlock packs the centroids one singleton slot each into a flat
+// centroid block (the x0 slab alone).
 func centroidBlock(dim int, centroids []vec.Vector) *Block {
-	b := NewBlock(dim, len(centroids))
+	b := NewCentroidBlock(dim, len(centroids))
 	for _, c := range centroids {
 		b.AppendPoint(c)
 	}
@@ -113,12 +114,17 @@ func TestScanNearestX0MatchesBruteBitwise(t *testing.T) {
 }
 
 // TestBlockSetPointMatchesSet verifies the SetPoint fast path stores
-// exactly the bits Set(FromPoint(p)) would, via the CheckSync contract.
+// exactly the bits Set(FromPoint(p)) would, via the CheckSync contract,
+// in a flat centroid block and in the slab set of each classic metric.
 func TestBlockSetPointMatchesSet(t *testing.T) {
 	r := rand.New(rand.NewSource(78))
-	for _, dim := range []int{1, 2, 7, 33} {
-		b := NewBlock(dim, 8)
-		ref := NewBlock(dim, 8)
+	for i, dim := range []int{1, 2, 7, 33, 3, 5, 9} {
+		b := NewCentroidBlock(dim, 8)
+		ref := NewCentroidBlock(dim, 8)
+		if i < len(denseScanMetrics) {
+			b = NewBlockOpts(dim, 8, denseScanMetrics[i], CoreClassic)
+			ref = NewBlockOpts(dim, 8, denseScanMetrics[i], CoreClassic)
+		}
 		for i := 0; i < 8; i++ {
 			p := vec.New(dim)
 			for j := range p {
@@ -141,7 +147,7 @@ func TestBlockSetPointMatchesSet(t *testing.T) {
 // this gate ever runs.
 func TestBlockSetPointZeroAlloc(t *testing.T) {
 	const dim, k = 8, 32
-	b := NewBlock(dim, k)
+	b := NewCentroidBlock(dim, k)
 	centroids := make([]vec.Vector, k)
 	for i := range centroids {
 		c := vec.New(dim)

@@ -8,14 +8,15 @@ import (
 	"birch/internal/pager"
 )
 
-// benchCands builds k random candidate CFs of dimension dim plus a block
-// and query over them, for the scan-vs-loop microbenchmarks.
-func benchCands(dim, k int) ([]CF, *Block, *Query) {
-	return benchCandsCore(dim, k, CoreClassic)
+// benchCands builds k random candidate CFs of dimension dim plus the
+// block a metric-m tree keeps over them and a query, for the
+// scan-vs-loop microbenchmarks.
+func benchCands(m Metric, dim, k int) ([]CF, *Block, *Query) {
+	return benchCandsCore(m, dim, k, CoreClassic)
 }
 
 // benchCandsCore is benchCands under the given CF core.
-func benchCandsCore(dim, k int, kind CoreKind) ([]CF, *Block, *Query) {
+func benchCandsCore(m Metric, dim, k int, kind CoreKind) ([]CF, *Block, *Query) {
 	rng := rand.New(rand.NewSource(42))
 	cands := make([]CF, k)
 	for i := range cands {
@@ -29,7 +30,7 @@ func benchCandsCore(dim, k int, kind CoreKind) ([]CF, *Block, *Query) {
 		}
 		cands[i] = c
 	}
-	blk := blockOfCore(cands, kind)
+	blk := blockFor(m, kind, cands)
 	q := NewQuery(dim)
 	qc := cands[k/2].Clone()
 	q.Bind(&qc)
@@ -37,7 +38,7 @@ func benchCandsCore(dim, k int, kind CoreKind) ([]CF, *Block, *Query) {
 }
 
 func benchmarkScan(b *testing.B, m Metric, dim, k int) {
-	cands, blk, q := benchCands(dim, k)
+	cands, blk, q := benchCands(m, dim, k)
 	kern := KernelForCore(m, CoreClassic)
 	scan := ScanKernelForCore(m, CoreClassic)
 
@@ -93,13 +94,13 @@ func BenchmarkScanLanes(b *testing.B) {
 					if kind == CoreBETULA && m != D2 && m != D3 {
 						continue
 					}
-					_, blk, q := benchCandsCore(dim, k, kind)
+					_, blk, q := benchCandsCore(m, dim, k, kind)
 					name := fmt.Sprintf("%v-%v/d%d-K%d", m, kind, dim, k)
 					benchScanPair(b, name, func() int { i, _ := refScanKernelForCore(m, kind)(q, blk); return i },
 						func() int { i, _ := ScanKernelForCore(m, kind)(q, blk); return i })
 				}
 			}
-			_, blk, q := benchCands(dim, k)
+			_, blk, q := benchCands(D0, dim, k)
 			x := q.x0
 			benchScanPair(b, fmt.Sprintf("nearest/d%d-K%d", dim, k),
 				func() int { i, _ := refScanNearestX0(x, blk); return i },

@@ -9,15 +9,6 @@ import (
 	"birch/internal/vec"
 )
 
-// blockOf builds a slot-synced Block over the candidate CFs.
-func blockOf(dim int, cands []CF) *Block {
-	b := NewBlock(dim, len(cands))
-	for i := range cands {
-		b.Append(&cands[i])
-	}
-	return b
-}
-
 // referenceArgmin is the per-entry kernel loop ScanArgmin replaces: the
 // exact code shape Tree.closestEntry used before blocks, down to the
 // strict-< tie rule.
@@ -135,7 +126,7 @@ func plantTie(r *rand.Rand, kernel Kernel, q *Query, cands []CF, lane int) bool 
 // single-accumulator reference scan and to the per-entry kernel loop:
 // same index, same distance bits.
 func checkScanLanes(m Metric, kind CoreKind, q *Query, cands []CF) error {
-	b := blockOfCore(cands, kind)
+	b := blockFor(m, kind, cands)
 	ki, kd := referenceArgmin(KernelForCore(m, kind), q, cands)
 	for _, s := range []struct {
 		name string
@@ -217,7 +208,7 @@ func TestScanAfterIncrementalMaintenance(t *testing.T) {
 		for i := range cands {
 			cands[i] = randCF(r, dim, 1+r.Intn(20), 20)
 		}
-		b := blockOf(dim, cands)
+		b := blockFor(m, CoreClassic, cands)
 
 		for step := 0; step < 200; step++ {
 			switch r.Intn(4) {

@@ -35,7 +35,9 @@ import (
 // Every other (metric, core) pair falls back to the dense fused scan on
 // the densified query — bit-identical by construction, just not faster.
 // SparseGatherMaxDensity bounds when the gather is actually a win; the
-// tree consults it per insert.
+// tree consults it per insert. Each gather scan reads the same slab
+// families as the dense scan of its (metric, core) pair, so the blocks
+// SlabsFor sizes serve both.
 
 // SparseGatherMaxDensity is the nonzero fraction (nnz/d) above which the
 // fused dense slab scan outruns the sparse gather kernel and the tree
@@ -49,9 +51,8 @@ import (
 // 0.756 (d=256), 0.762 (d=64) and 0.889 (d=1024). 0.65 is the largest
 // swept density the gather wins on every dimension, with ≥ 10% margin —
 // past it the win is inside measurement noise, so the tree switches to
-// the dense scan there. The same discipline as kmeans.FusedKDThreshold:
-// a constant pinned by measurement, re-derivable from the committed
-// report.
+// the dense scan there: a constant pinned by measurement, re-derivable
+// from the committed report.
 const SparseGatherMaxDensity = 0.65
 
 // SparseGatherWins reports whether the sparse gather descent is expected
@@ -199,11 +200,12 @@ func FromSparsePoint(sp vec.Sparse, kind CoreKind) CF {
 
 // SetPointSparse writes slot i as the singleton CF of the sparse point
 // sp — the sparse counterpart of Block.SetPoint, storing exactly the
-// words SetPoint(i, densify(sp)) would store: the slab rows are memset
-// then scattered (identical bits), the SS tail words are sp.SqNorm()
-// (bit-equal to the dense SqNorm), and the derived cn word is computed
-// from the written row by the shared setNorm helper. O(d) memset plus
-// O(nnz) floating-point work, zero allocations.
+// words SetPoint(i, densify(sp)) would store in every slab the block
+// maintains: the slab rows are memset then scattered (identical bits),
+// the SS tail words are sp.SqNorm() (bit-equal to the dense SqNorm), and
+// the derived cn word is computed from the written row by the shared
+// setNorm helper. O(d) memset plus O(nnz) floating-point work, zero
+// allocations.
 //
 //birchlint:hotpath
 func (b *Block) SetPointSparse(i int, sp vec.Sparse) {
@@ -211,31 +213,27 @@ func (b *Block) SetPointSparse(i int, sp vec.Sparse) {
 		panic("cf: Block.SetPointSparse dimension mismatch")
 	}
 	d := b.dim
-	xoff := i * (d + 1)
-	x0 := b.x0[xoff : xoff+d : xoff+d]
-	clear(x0)
-	for t, ix := range sp.Idx {
-		x0[ix] = sp.Val[t]
+	if b.slabs&SlabX0 != 0 {
+		xoff := i * (d + 1)
+		sp.DenseInto(b.x0[xoff : xoff+d : xoff+d])
+		b.x0[xoff+d] = 1
 	}
-	if b.kind == CoreBETULA {
-		b.x0[xoff+d] = 1
-		b.sb[2*i] = 0
-		b.sb[2*i+1] = 0
-	} else {
+	if b.slabs&SlabLS != 0 {
 		loff := i * (d + 3)
-		ls := b.ls[loff : loff+d : loff+d]
-		clear(ls)
-		for t, ix := range sp.Idx {
-			ls[ix] = sp.Val[t]
-		}
+		sp.DenseInto(b.ls[loff : loff+d : loff+d])
 		ss := sp.SqNorm()
-		b.x0[xoff+d] = 1
 		b.ls[loff+d] = ss // SS/N with N = 1
 		b.ls[loff+d+1] = ss
 		b.ls[loff+d+2] = 1
 	}
+	if b.slabs&SlabSB != 0 {
+		b.sb[2*i] = 0
+		b.sb[2*i+1] = 0
+	}
 	b.n[i] = 1
-	b.setNorm(i)
+	if b.slabs&SlabCN != 0 {
+		b.setNorm(i)
+	}
 }
 
 // AppendPointSparse adds a singleton-CF slot for sp at the end of the

@@ -63,10 +63,11 @@ func sparseCands(r *rand.Rand, dim, k int, kind CoreKind) []CF {
 	return cands
 }
 
-// blockOfCore builds a slot-synced block over candidates of the given
-// core (blockOf assumes the classic backend).
-func blockOfCore(cands []CF, kind CoreKind) *Block {
-	b := NewBlockOpts(cands[0].Dim(), len(cands), kind)
+// blockFor builds the slot-synced block a tree under metric m and the
+// given core keeps over the candidates: NewBlockOpts, so exactly the
+// slab families SlabsFor(m, kind) names.
+func blockFor(m Metric, kind CoreKind, cands []CF) *Block {
+	b := NewBlockOpts(cands[0].Dim(), len(cands), m, kind)
 	for i := range cands {
 		b.Append(&cands[i])
 	}
@@ -117,7 +118,7 @@ func TestSparseScanMatchesDenseScanBitwise(t *testing.T) {
 					if len(cands) > 2 {
 						cands[len(cands)-1] = cands[0].Clone() // force an exact tie
 					}
-					b := blockOfCore(cands, pair.kind)
+					b := blockFor(pair.m, pair.kind, cands)
 
 					sp := randSparse(r, dim, nnz, mag)
 					spCF := FromSparsePoint(sp, pair.kind)
@@ -151,7 +152,7 @@ func TestSparseScanMatchesKernelLoop(t *testing.T) {
 			q := NewQuery(dim)
 			for trial := 0; trial < 30; trial++ {
 				cands := sparseCands(r, dim, 1+r.Intn(8), pair.kind)
-				b := blockOfCore(cands, pair.kind)
+				b := blockFor(pair.m, pair.kind, cands)
 				sp := randSparse(r, dim, 1+r.Intn(dim), 10)
 				spCF := FromSparsePoint(sp, pair.kind)
 				q.BindSparse(&spCF, sp)
@@ -188,7 +189,7 @@ func TestCosScanMatchesKernelLoopBitwise(t *testing.T) {
 				}
 				query := sparseCands(r, dim, 1, kind)[0]
 				q.Bind(&query)
-				b := blockOfCore(cands, kind)
+				b := blockFor(DCos, kind, cands)
 				gotIdx, gotD := scan(q, b)
 				wantIdx, wantD := referenceArgmin(kernel, q, cands)
 				if gotIdx != wantIdx || math.Float64bits(gotD) != math.Float64bits(wantD) {
@@ -300,37 +301,49 @@ func TestSetPointSparseMatchesSetPoint(t *testing.T) {
 
 // TestBlockSetPointSparseBitIdentical: the block's sparse slot writers
 // produce word-identical slabs to their dense counterparts, across both
-// cores, and stay slot-synced per CheckSync.
+// cores and every slab set a tree block (one per metric) or a flat
+// centroid block keeps, and stay slot-synced per CheckSync.
 func TestBlockSetPointSparseBitIdentical(t *testing.T) {
 	r := rand.New(rand.NewSource(76))
 	for _, kind := range []CoreKind{CoreClassic, CoreBETULA} {
-		for _, dim := range []int{1, 5, 33} {
-			const k = 6
-			bd := NewBlockOpts(dim, k, kind)
-			bs := NewBlockOpts(dim, k, kind)
-			sps := make([]vec.Sparse, k)
-			for i := 0; i < k; i++ {
-				sps[i] = randSparse(r, dim, 1+r.Intn(dim), 20)
-				bd.AppendPoint(sps[i].Dense())
-				bs.AppendPointSparse(sps[i])
-			}
-			// Overwrite a couple of slots through the Set form too.
-			for _, i := range []int{0, k - 1} {
-				sps[i] = randSparse(r, dim, 1+r.Intn(dim), 20)
-				bd.SetPoint(i, sps[i].Dense())
-				bs.SetPointSparse(i, sps[i])
-			}
-			compareSlabs(t, bd, bs)
-			for i := 0; i < k; i++ {
-				c := FromSparsePoint(sps[i], kind)
-				if err := bs.CheckSync(i, &c); err != nil {
-					t.Fatalf("(%v) dim=%d slot %d out of sync: %v", kind, dim, i, err)
+		for mi := 0; mi <= len(denseScanMetrics); mi++ {
+			for _, dim := range []int{1, 5, 33} {
+				const k = 6
+				var bd, bs *Block
+				label := "centroid block"
+				if mi < len(denseScanMetrics) {
+					m := denseScanMetrics[mi]
+					bd, bs = NewBlockOpts(dim, k, m, kind), NewBlockOpts(dim, k, m, kind)
+					label = m.String()
+				} else if kind == CoreClassic {
+					bd, bs = NewCentroidBlock(dim, k), NewCentroidBlock(dim, k)
+				} else {
+					continue
 				}
-			}
+				sps := make([]vec.Sparse, k)
+				for i := 0; i < k; i++ {
+					sps[i] = randSparse(r, dim, 1+r.Intn(dim), 20)
+					bd.AppendPoint(sps[i].Dense())
+					bs.AppendPointSparse(sps[i])
+				}
+				// Overwrite a couple of slots through the Set form too.
+				for _, i := range []int{0, k - 1} {
+					sps[i] = randSparse(r, dim, 1+r.Intn(dim), 20)
+					bd.SetPoint(i, sps[i].Dense())
+					bs.SetPointSparse(i, sps[i])
+				}
+				compareSlabs(t, bd, bs)
+				for i := 0; i < k; i++ {
+					c := FromSparsePoint(sps[i], kind)
+					if err := bs.CheckSync(i, &c); err != nil {
+						t.Fatalf("(%v, %s) dim=%d slot %d out of sync: %v", kind, label, dim, i, err)
+					}
+				}
 
-			// Warm-slot rewrites are allocation-free.
-			if allocs := testing.AllocsPerRun(100, func() { bs.SetPointSparse(0, sps[0]) }); allocs > 0 {
-				t.Fatalf("(%v) dim=%d: SetPointSparse allocates %.1f/op", kind, dim, allocs)
+				// Warm-slot rewrites are allocation-free.
+				if allocs := testing.AllocsPerRun(100, func() { bs.SetPointSparse(0, sps[0]) }); allocs > 0 {
+					t.Fatalf("(%v, %s) dim=%d: SetPointSparse allocates %.1f/op", kind, label, dim, allocs)
+				}
 			}
 		}
 	}
@@ -410,7 +423,7 @@ func FuzzSparseKernelParity(f *testing.F) {
 			t.Fatalf("(%v, %v): no gather kernel", pair.m, pair.kind)
 		}
 		cands := sparseCands(r, dim, 1+r.Intn(8), pair.kind)
-		b := blockOfCore(cands, pair.kind)
+		b := blockFor(pair.m, pair.kind, cands)
 		sp := randSparse(r, dim, nnz, 100)
 		spCF := FromSparsePoint(sp, pair.kind)
 

@@ -176,7 +176,7 @@ func (t *Tree) newNode(leaf bool, capHint int) *Node {
 	return &Node{
 		leaf:    leaf,
 		entries: make([]Entry, 0, capHint),
-		blk:     cf.NewBlockOpts(t.params.Dim, capHint, t.params.Core),
+		blk:     cf.NewBlockOpts(t.params.Dim, capHint, t.params.Metric, t.params.Core),
 	}
 }
 

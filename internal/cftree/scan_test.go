@@ -188,19 +188,24 @@ func treeDigest(tr *Tree) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// FuzzScanBlockSync decodes the fuzz input as tree-shape knobs plus an op
-// tape of point insertions with occasional rebuilds, and checks after
-// every phase that each node's scan block is bit-identical to
-// recomputation from its entries. This is the differential guard for the
-// incremental maintenance paths: absorb, append, split redistribution,
-// merging refinement, and rebuild re-insertion all mutate entries, and
-// each must leave the blocks exactly in sync. Run with
+// FuzzScanBlockSync decodes the fuzz input as tree-shape knobs (the CF
+// core and all six metrics among them) plus an op tape of point
+// insertions with occasional rebuilds, and checks after every phase that
+// each node's scan block maintains exactly the slab families
+// cf.SlabsFor names for the tree's (metric, core) pair and is
+// bit-identical to recomputation from its entries in each of them. This
+// is the differential guard for the incremental maintenance paths:
+// absorb, append, split redistribution, merging refinement, and rebuild
+// re-insertion all mutate entries, and each must leave the blocks exactly
+// in sync. Run with
 // `go test -fuzz=FuzzScanBlockSync ./internal/cftree` to explore; the
 // seed corpus runs as part of the normal test suite.
 func FuzzScanBlockSync(f *testing.F) {
 	f.Add([]byte{3, 2, 8, 0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100})
 	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{200, 5, 64, 2, 255, 255, 0, 0, 128, 128, 7, 7, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{131, 3, 24, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100, 9, 8, 7, 6})
+	f.Add([]byte{1, 4, 12, 5, 250, 240, 230, 220, 210, 200, 190, 180, 170, 160})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 4 {
@@ -212,16 +217,22 @@ func FuzzScanBlockSync(f *testing.F) {
 			LeafCap:           2 + int(data[1])%6,
 			Threshold:         float64(data[2]) / 16,
 			ThresholdKind:     cf.ThresholdKind(int(data[3]) % 2),
-			Metric:            cf.Metric(int(data[3]) % 5),
+			Metric:            cf.Metric(int(data[3]) % 6),
+			Core:              cf.CoreKind(data[0] >> 7),
 			MergingRefinement: data[3]%2 == 0,
 		}
 		tr, err := New(p, bigPager())
 		if err != nil {
 			t.Fatal(err)
 		}
+		core := cf.CoreFor(p.Core)
+		slabs := cf.SlabsFor(p.Metric, p.Core)
 
 		checkAll := func(stage string) {
 			for _, n := range allNodes(tr) {
+				if got := n.blk.Slabs(); got != slabs {
+					t.Fatalf("%s: block keeps slabs %b, SlabsFor gives %b", stage, got, slabs)
+				}
 				if err := n.checkBlockSync(); err != nil {
 					t.Fatalf("%s: block out of sync: %v", stage, err)
 				}
@@ -237,7 +248,7 @@ func FuzzScanBlockSync(f *testing.F) {
 			if math.IsNaN(x) || math.IsNaN(y) {
 				continue
 			}
-			tr.Insert(cf.FromPoint(vec.Of(x, y)))
+			tr.Insert(core.FromPoint(vec.Of(x, y)))
 			step++
 			if step%16 == 0 {
 				checkAll("insert")

@@ -1,23 +1,28 @@
-// Package kdtree implements an exact nearest-neighbor k-d tree over
-// d-dimensional points. BIRCH's Phase 4 assigns every data point to the
-// closest of K centroids — an O(N·K) brute-force loop in the paper's
-// description. With the paper's larger K settings (Figure 5 runs up to
-// K = 250) the assignment dominates Phase 4, and an exact k-d tree cuts
-// the per-point cost to roughly O(log K) in low dimension while returning
-// bit-identical nearest centroids. The library uses it automatically when
-// K crosses a threshold; results never change, only speed.
+// Package kdtree builds a k-d tree over d-dimensional points for one
+// job: a cheap first guess at the nearest of K centroids. BIRCH's Phase 4
+// assigns every data point to the closest of K centroids — an O(N·K)
+// loop in the paper's description. kmeans.Finder answers each query
+// exactly by taking this tree's guess and certifying it (or scanning);
+// the tree itself never backtracks, so its answer is a guess, not the
+// nearest point.
 package kdtree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"birch/internal/vec"
 )
 
-// Tree is an immutable k-d tree over a fixed point set.
+// Tree is a k-d tree over a fixed point set.
 type Tree struct {
 	points []vec.Vector
 	nodes  []node
+	// coords holds every node's point, dim floats each, in arena order,
+	// so a descent streams one array instead of chasing a vector per
+	// node.
+	coords []float64
+	idx    []int32 // build scratch, kept so Reset allocates nothing
 	root   int32
 	dim    int
 }
@@ -33,6 +38,17 @@ type node struct {
 // copied; callers must not mutate the points afterwards. Build panics on
 // an empty input or mixed dimensionality.
 func Build(points []vec.Vector) *Tree {
+	t := &Tree{}
+	t.Reset(points)
+	return t
+}
+
+// Reset rebuilds t over points in place. Its arena and scratch are
+// reused, so a rebuild over as many points as before allocates nothing.
+// Reset panics on an empty input or mixed dimensionality.
+//
+//birchlint:coldpath
+func (t *Tree) Reset(points []vec.Vector) {
 	if len(points) == 0 {
 		panic("kdtree: no points")
 	}
@@ -42,17 +58,25 @@ func Build(points []vec.Vector) *Tree {
 			panic("kdtree: mixed dimensionality at point " + itoa(i))
 		}
 	}
-	t := &Tree{
-		points: points,
-		nodes:  make([]node, 0, len(points)),
-		dim:    dim,
+	t.points = points
+	t.dim = dim
+	if cap(t.nodes) < len(points) {
+		t.nodes = make([]node, 0, len(points))
+		t.idx = make([]int32, len(points))
 	}
-	idx := make([]int32, len(points))
-	for i := range idx {
-		idx[i] = int32(i)
+	if cap(t.coords) < len(points)*dim {
+		t.coords = make([]float64, len(points)*dim)
 	}
-	t.root = t.build(idx, 0)
-	return t
+	t.nodes = t.nodes[:0]
+	t.idx = t.idx[:len(points)]
+	t.coords = t.coords[:len(points)*dim]
+	for i := range t.idx {
+		t.idx[i] = int32(i)
+	}
+	t.root = t.build(t.idx, 0)
+	for i, n := range t.nodes {
+		copy(t.coords[i*dim:(i+1)*dim], points[n.point])
+	}
 }
 
 func itoa(v int) string {
@@ -71,14 +95,14 @@ func itoa(v int) string {
 
 // build recursively constructs the subtree over idx, splitting at the
 // median along the cycling axis, and returns the arena index of the root.
+// Every point left of the median has a strictly smaller coordinate on
+// the split axis; equal coordinates go right.
 func (t *Tree) build(idx []int32, depth int) int32 {
 	if len(idx) == 0 {
 		return -1
 	}
 	axis := depth % t.dim
-	sort.Slice(idx, func(a, b int) bool {
-		return t.points[idx[a]][axis] < t.points[idx[b]][axis]
-	})
+	t.sortAxis(idx, axis)
 	mid := len(idx) / 2
 	// Walk left so equal coordinates end up on the right subtree only.
 	// Exact equality is intended: these are stored input coordinates
@@ -96,52 +120,54 @@ func (t *Tree) build(idx []int32, depth int) int32 {
 	return me
 }
 
+// sortAxis orders idx by the points' coordinate on axis, ties by index,
+// so the order is a function of the points alone (cmp.Compare puts NaN
+// first, so non-finite points still sort). slices.SortFunc with this
+// non-escaping comparator allocates nothing.
+func (t *Tree) sortAxis(idx []int32, axis int) {
+	slices.SortFunc(idx, func(a, b int32) int {
+		if c := cmp.Compare(t.points[a][axis], t.points[b][axis]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+}
+
 // Len returns the number of indexed points.
 func (t *Tree) Len() int { return len(t.points) }
 
-// Nearest returns the index of the point closest to q (Euclidean) and
-// the squared distance to it. Ties break toward the point visited first,
-// which is deterministic for a given Build.
-func (t *Tree) Nearest(q vec.Vector) (int, float64) {
+// NearestOnPath descends greedily from the root to a leaf, always to the
+// near side of each split and never back, and returns the index of the
+// closest point on that path together with its squared Euclidean
+// distance to q (vec.SqDist(q, point), so exactly the bits the brute
+// loop computes for that point). On an earlier tie the first point on
+// the path is kept. It is exact for a query equal to an indexed point,
+// and otherwise only a guess: the nearest point may sit across a split.
+// A NaN coordinate compares false and goes right.
+//
+// A node's distance is abandoned once its partial sum exceeds the best
+// so far (vec.SqDistWithin); such a node could not have won.
+//
+//birchlint:hotpath
+func (t *Tree) NearestOnPath(q vec.Vector) (int, float64) {
 	if q.Dim() != t.dim {
 		panic("kdtree: query dimension mismatch")
 	}
-	best := int32(-1)
-	bestD := 0.0
-	first := true
-	t.search(t.root, q, &best, &bestD, &first)
+	nodes, coords, dim := t.nodes, t.coords, t.dim
+	best, bestD := int32(-1), 0.0
+	for ni := t.root; ni >= 0; {
+		n := &nodes[ni]
+		p := coords[int(ni)*dim : int(ni)*dim+dim : int(ni)*dim+dim]
+		if best < 0 {
+			best, bestD = n.point, vec.SqDist(q, p)
+		} else if d, ok := vec.SqDistWithin(q, p, bestD); ok && d < bestD {
+			best, bestD = n.point, d
+		}
+		if q[n.axis] < p[n.axis] {
+			ni = n.left
+		} else {
+			ni = n.right
+		}
+	}
 	return int(best), bestD
-}
-
-func (t *Tree) search(ni int32, q vec.Vector, best *int32, bestD *float64, first *bool) {
-	if ni < 0 {
-		return
-	}
-	n := &t.nodes[ni]
-	d := vec.SqDist(q, t.points[n.point])
-	if *first || d < *bestD {
-		*best, *bestD, *first = n.point, d, false
-	}
-	delta := q[n.axis] - t.points[n.point][n.axis]
-	var near, far int32
-	if delta < 0 {
-		near, far = n.left, n.right
-	} else {
-		near, far = n.right, n.left
-	}
-	t.search(near, q, best, bestD, first)
-	if delta*delta < *bestD {
-		t.search(far, q, best, bestD, first)
-	}
-}
-
-// NearestWithin is Nearest restricted to a squared radius: it returns
-// (-1, 0) when no indexed point lies within sqRadius of q. Phase 4's
-// outlier-discard option maps onto this directly.
-func (t *Tree) NearestWithin(q vec.Vector, sqRadius float64) (int, float64) {
-	i, d := t.Nearest(q)
-	if d > sqRadius {
-		return -1, 0
-	}
-	return i, d
 }

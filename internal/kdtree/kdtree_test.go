@@ -1,9 +1,9 @@
 package kdtree
 
 import (
+	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"birch/internal/vec"
 )
@@ -51,16 +51,19 @@ func TestBuildMixedDimPanics(t *testing.T) {
 
 func TestNearestSinglePoint(t *testing.T) {
 	tr := Build([]vec.Vector{vec.Of(3, 4)})
-	i, d := tr.Nearest(vec.Of(0, 0))
+	i, d := tr.NearestOnPath(vec.Of(0, 0))
 	if i != 0 || d != 25 {
-		t.Fatalf("Nearest = %d, %g", i, d)
+		t.Fatalf("NearestOnPath = %d, %g", i, d)
 	}
 	if tr.Len() != 1 {
 		t.Fatalf("Len = %d", tr.Len())
 	}
 }
 
-func TestNearestMatchesBruteForce(t *testing.T) {
+// TestNearestOnPathIsOnPath: the guess is the closest point on the
+// greedy root-to-leaf path, its distance is vec.SqDist's bits for the
+// index it names, and it is never closer than the brute-force nearest.
+func TestNearestOnPathIsOnPath(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, d := range []int{1, 2, 3, 8} {
 		for _, n := range []int{1, 2, 10, 100, 500} {
@@ -68,15 +71,28 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 			tr := Build(pts)
 			for trial := 0; trial < 50; trial++ {
 				q := randPoints(r, 1, d)[0]
-				gi, gd := tr.Nearest(q)
-				_, bd := bruteNearest(pts, q)
-				// The index may differ under exact ties; the distance
-				// must not.
-				if gd != bd {
-					t.Fatalf("d=%d n=%d: kd %g vs brute %g", d, n, gd, bd)
-				}
+				gi, gd := tr.NearestOnPath(q)
 				if vec.SqDist(q, pts[gi]) != gd {
 					t.Fatalf("returned distance inconsistent with returned index")
+				}
+				if _, bd := bruteNearest(pts, q); gd < bd {
+					t.Fatalf("d=%d n=%d: guess %g closer than brute %g", d, n, gd, bd)
+				}
+				best, bestD := -1, 0.0
+				for ni := tr.root; ni >= 0; {
+					nd := &tr.nodes[ni]
+					p := pts[nd.point]
+					if dd := vec.SqDist(q, p); best < 0 || dd < bestD {
+						best, bestD = int(nd.point), dd
+					}
+					if q[nd.axis] < p[nd.axis] {
+						ni = nd.left
+					} else {
+						ni = nd.right
+					}
+				}
+				if best != gi || bestD != gd {
+					t.Fatalf("d=%d n=%d: guess (%d, %g), path minimum (%d, %g)", d, n, gi, gd, best, bestD)
 				}
 			}
 		}
@@ -88,7 +104,7 @@ func TestNearestOnIndexedPoints(t *testing.T) {
 	pts := randPoints(r, 200, 3)
 	tr := Build(pts)
 	for i, p := range pts {
-		gi, gd := tr.Nearest(p)
+		gi, gd := tr.NearestOnPath(p)
 		if gd != 0 {
 			t.Fatalf("point %d: distance to itself %g", i, gd)
 		}
@@ -101,9 +117,9 @@ func TestNearestOnIndexedPoints(t *testing.T) {
 func TestDuplicatePoints(t *testing.T) {
 	pts := []vec.Vector{vec.Of(1, 1), vec.Of(1, 1), vec.Of(1, 1), vec.Of(5, 5)}
 	tr := Build(pts)
-	i, d := tr.Nearest(vec.Of(1.1, 1))
+	i, d := tr.NearestOnPath(vec.Of(1.1, 1))
 	if d > 0.011 || i == 3 {
-		t.Fatalf("Nearest among duplicates = %d, %g", i, d)
+		t.Fatalf("NearestOnPath among duplicates = %d, %g", i, d)
 	}
 }
 
@@ -114,42 +130,34 @@ func TestQueryDimMismatchPanics(t *testing.T) {
 			t.Fatal("query dim mismatch did not panic")
 		}
 	}()
-	tr.Nearest(vec.Of(1))
+	tr.NearestOnPath(vec.Of(1))
 }
 
-func TestNearestWithin(t *testing.T) {
-	tr := Build([]vec.Vector{vec.Of(0, 0), vec.Of(10, 0)})
-	if i, _ := tr.NearestWithin(vec.Of(1, 0), 4); i != 0 {
-		t.Fatalf("within radius: %d", i)
+// TestResetReusesArena: rebuilding over as many points allocates
+// nothing, and the rebuilt tree equals a fresh Build over the same
+// points (non-finite coordinates included: the build stays well formed).
+func TestResetReusesArena(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	a, b := randPoints(r, 100, 4), randPoints(r, 100, 4)
+	b[7][2] = math.NaN()
+	b[9][0] = math.Inf(-1)
+	tr := Build(a)
+	if allocs := testing.AllocsPerRun(20, func() { tr.Reset(b); tr.Reset(a) }); allocs != 0 {
+		t.Fatalf("Reset at an unchanged size allocates %.1f times", allocs)
 	}
-	if i, _ := tr.NearestWithin(vec.Of(5, 0), 4); i != -1 {
-		t.Fatalf("outside radius accepted: %d", i)
+	tr.Reset(b)
+	fresh := Build(b)
+	if tr.root != fresh.root || len(tr.nodes) != len(fresh.nodes) {
+		t.Fatalf("reset tree shape differs from a fresh build")
 	}
-}
-
-func TestQuickKdMatchesBrute(t *testing.T) {
-	f := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		d := 1 + r.Intn(5)
-		n := 1 + r.Intn(300)
-		pts := randPoints(r, n, d)
-		tr := Build(pts)
-		for trial := 0; trial < 10; trial++ {
-			q := randPoints(r, 1, d)[0]
-			_, gd := tr.Nearest(q)
-			_, bd := bruteNearest(pts, q)
-			if gd != bd {
-				return false
-			}
+	for i := range tr.nodes {
+		if tr.nodes[i] != fresh.nodes[i] {
+			t.Fatalf("node %d: reset %+v, fresh %+v", i, tr.nodes[i], fresh.nodes[i])
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Error(err)
 	}
 }
 
-func BenchmarkNearest250(b *testing.B) {
+func BenchmarkNearestOnPath250(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	pts := randPoints(r, 250, 2)
 	tr := Build(pts)
@@ -157,17 +165,6 @@ func BenchmarkNearest250(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Nearest(queries[i%len(queries)])
-	}
-}
-
-func BenchmarkBrute250(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	pts := randPoints(r, 250, 2)
-	queries := randPoints(r, 1024, 2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		bruteNearest(pts, queries[i%len(queries)])
+		tr.NearestOnPath(queries[i%len(queries)])
 	}
 }

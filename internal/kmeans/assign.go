@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"birch/internal/cf"
-	"birch/internal/kdtree"
 	"birch/internal/vec"
 )
 
@@ -18,11 +17,12 @@ import (
 const assignChunk = 4096
 
 // Assigner performs nearest-centroid assignment over raw points — the
-// inner loop of BIRCH Phase 4 — with reusable buffers, a fused-scan or
-// k-d centroid index, and a deterministic chunked parallel reduction.
+// inner loop of BIRCH Phase 4 — with reusable buffers, the certified
+// nearest-centroid search of Finder, and a deterministic chunked
+// parallel reduction.
 //
 // The zero value is ready to use. Buffers (labels, per-cluster sums,
-// per-chunk accumulators, the packed centroid block) are retained across
+// per-chunk accumulators, the centroid finder) are retained across
 // calls, so the steady state of a multi-pass refinement — same point
 // count, same K, same dimension — performs zero heap allocations per
 // pass (gated by TestAssignSteadyStateAllocs). The slices returned by
@@ -78,7 +78,7 @@ func (a *Assigner) Assign(points, centroids []vec.Vector, discardBeyond float64,
 	a.ahead = a.ahead[:chunks]
 	a.sums = growCFs(a.sums, k, dim, a.Core)
 	a.chunkSums = growCFs(a.chunkSums, chunks*k, dim, a.Core)
-	a.finder.Reset(centroids, FinderAuto)
+	a.finder.Reset(centroids)
 
 	limit := math.Inf(1)
 	if discardBeyond > 0 {
@@ -113,7 +113,8 @@ func (a *Assigner) Assign(points, centroids []vec.Vector, discardBeyond float64,
 // closure so the inline one-worker path allocates nothing. Like the
 // Phase 1 scan it loads each next group of vec.LookAheadGroup points
 // (within the chunk) before working through the current one; the loads
-// change nothing but the chunk's ahead slot.
+// change nothing but the chunk's ahead slot. The chunk's searches run
+// under one guard (Finder), which only decides how each answer is found.
 //
 //birchlint:hotpath
 func (a *Assigner) assignChunk(points []vec.Vector, c, lo, hi, k int, limit float64) {
@@ -121,14 +122,15 @@ func (a *Assigner) assignChunk(points []vec.Vector, c, lo, hi, k int, limit floa
 	for j := range sums {
 		sums[j].Reset()
 	}
-	const g = vec.LookAheadGroup
+	const group = vec.LookAheadGroup
 	var ahead uint64
-	for glo := lo; glo < hi; glo += g {
-		ghi := min(glo+g, hi)
-		ahead ^= vec.LoadAhead(points[ghi:min(ghi+g, hi)])
+	var g guard
+	for glo := lo; glo < hi; glo += group {
+		ghi := min(glo+group, hi)
+		ahead ^= vec.LoadAhead(points[ghi:min(ghi+group, hi)])
 		for i := glo; i < ghi; i++ {
 			p := points[i]
-			best, bestD := a.finder.Nearest(p)
+			best, bestD := a.finder.nearest(p, &g)
 			if bestD > limit {
 				a.labels[i] = -1
 				continue
@@ -175,17 +177,10 @@ func AssignPoints(points []vec.Vector, centroids []vec.Vector, discardBeyond flo
 	return a.Assign(points, centroids, discardBeyond, 1)
 }
 
-// kdTreeThreshold is the centroid count above which the reference
-// assignment builds a k-d index instead of brute-forcing — the pre-block
-// crossover, kept with the reference path (the fused flat scan moved the
-// production crossover to FusedKDThreshold).
-const kdTreeThreshold = 24
-
 // AssignPointsReference is the pre-parallel reference implementation:
-// one sequential pass, per-point accumulation in input order, brute loop
-// below kdTreeThreshold centroids and the k-d tree above it. The
-// differential tests and the tail benchmark hold the production path
-// against it.
+// one sequential pass, per-point accumulation in input order, and the
+// brute NearestBrute loop per point. The differential tests and the
+// tail benchmark hold the production path against it.
 func AssignPointsReference(points []vec.Vector, centroids []vec.Vector, discardBeyond float64) ([]int, []cf.CF) {
 	if len(centroids) == 0 {
 		panic("kmeans: AssignPoints with no centroids")
@@ -199,13 +194,8 @@ func AssignPointsReference(points []vec.Vector, centroids []vec.Vector, discardB
 	if discardBeyond > 0 {
 		limit = discardBeyond * discardBeyond
 	}
-
-	nearest := func(p vec.Vector) (int, float64) { return NearestBrute(centroids, p) }
-	if len(centroids) >= kdTreeThreshold {
-		nearest = kdtree.Build(centroids).Nearest
-	}
 	for i, p := range points {
-		best, bestD := nearest(p)
+		best, bestD := NearestBrute(centroids, p)
 		if bestD > limit {
 			labels[i] = -1
 			continue

@@ -126,9 +126,8 @@ func Cluster(items []cf.CF, opts Options) (*Result, error) {
 	// order), folded in chunk-index order afterwards, so the iteration is
 	// bit-identical for every Workers value — and, for inputs at or below
 	// one chunk, identical to the plain sequential loop. The
-	// nearest-center search goes through a Finder: the fused flat scan
-	// below FusedKDThreshold centers (bit-identical to the brute loop),
-	// the exact k-d tree above it.
+	// nearest-center search goes through a Finder, whose answer is the
+	// brute loop's bit for bit; each chunk runs under its own guard.
 	n := len(pts)
 	chunks := (n + assignChunk - 1) / assignChunk
 	var finder Finder
@@ -147,7 +146,7 @@ func Cluster(items []cf.CF, opts Options) (*Result, error) {
 	res := &Result{}
 	for iter := 0; iter < maxIter; iter++ {
 		res.Iterations = iter + 1
-		finder.Reset(centers, FinderAuto)
+		finder.Reset(centers)
 		forChunks(n, assignChunk, opts.Workers, func(c, lo, hi int) {
 			csums := chunkSums[c*k : (c+1)*k]
 			cws := chunkWs[c*k : (c+1)*k]
@@ -156,9 +155,10 @@ func Cluster(items []cf.CF, opts Options) (*Result, error) {
 				cws[j] = 0
 			}
 			ch := false
+			var g guard
 			for i := lo; i < hi; i++ {
 				p := pts[i]
-				best, _ := finder.Nearest(p)
+				best, _ := finder.nearest(p, &g)
 				if assign[i] != best {
 					assign[i] = best
 					ch = true

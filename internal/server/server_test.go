@@ -2,9 +2,11 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -158,6 +160,66 @@ func TestServerEndToEnd(t *testing.T) {
 	if _, err := cl.do(ctx, http.MethodPost, "/insert-batch", ContentTypeFrame,
 		[]byte("not a frame")); err == nil {
 		t.Fatal("garbage frame accepted")
+	}
+}
+
+// TestNonFiniteBinaryPointsRejected: a binary-tier frame carrying a NaN
+// or ±Inf coordinate answers 400 on insert and on classify before
+// anything is queued, so the engine's point count does not change and
+// GET /snapshot still encodes. (A NaN in the engine's state would make
+// the snapshot's JSON encoding fail after its 200 header, an empty body
+// on every later read.)
+func TestNonFiniteBinaryPointsRejected(t *testing.T) {
+	const dim = 3
+	b := testEngineBackend(t, dim, 4)
+	addr, shutdown := serve(t, New(b, Options{}))
+	defer shutdown()
+	cl := NewClient("http://" + addr)
+	ctx := context.Background()
+	pts := testPoints(500, dim)
+	if _, err := cl.InsertBatch(ctx, pts, dim); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	post := func(path string, p vec.Vector) int {
+		t.Helper()
+		frame, err := AppendPointsFrame(nil, []vec.Vector{pts[0], p}, dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post("http://"+addr+path, ContentTypeFrame, bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		_ = resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, bad := range []vec.Vector{{math.NaN(), 0, 0}, {math.Inf(1), 0, 0}, {0, 0, math.Inf(-1)}} {
+		for _, path := range []string{"/insert-batch", "/insert", "/classify-batch"} {
+			if code := post(path, bad); code != http.StatusBadRequest {
+				t.Fatalf("%s of %v: status %d, want 400", path, bad, code)
+			}
+		}
+	}
+	if err := cl.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Engine.Inserted != int64(len(pts)) {
+		t.Fatalf("engine counts %d inserted points, want %d", st.Engine.Inserted, len(pts))
+	}
+	meta, err := cl.Snapshot(ctx)
+	if err != nil {
+		t.Fatalf("snapshot after rejected frames: %v", err)
+	}
+	if meta.Points != int64(len(pts)) || len(meta.Centroids) == 0 {
+		t.Fatalf("snapshot covers %d points with %d centroids, want %d points", meta.Points, len(meta.Centroids), len(pts))
 	}
 }
 

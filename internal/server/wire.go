@@ -95,6 +95,10 @@ var (
 	ErrFrameCRC      = errors.New("server: frame CRC mismatch")
 	ErrFrameType     = errors.New("server: unknown frame type")
 	ErrPayloadShape  = errors.New("server: payload inconsistent with declared counts")
+	// ErrNonFinite rejects a dense points payload with a NaN or ±Inf
+	// coordinate: no engine can summarize one, and a snapshot holding it
+	// cannot be encoded as JSON.
+	ErrNonFinite = errors.New("server: non-finite coordinate")
 )
 
 // appendU32 / appendU64 are the primitive emitters; append with
@@ -364,8 +368,12 @@ func DecodeFrame(frame []byte) (typ byte, payload []byte, err error) {
 
 // DecodePointsInto decodes a MsgPoints payload, reusing the caller's
 // backing array and vector-header slice (grown only when capacity
-// requires). The returned vectors alias backing, which stays valid until
-// the caller's next reuse. Zero allocations against warm buffers.
+// requires). Like the sparse decoder it is a trust boundary: a NaN or
+// ±Inf coordinate (all exponent bits set) fails the whole payload with
+// ErrNonFinite, so insert and classify frames — and shard daemons behind
+// a coordinator, which decode the same frames — reject it before any
+// point is queued. The returned vectors alias backing, which stays valid
+// until the caller's next reuse. Zero allocations against warm buffers.
 //
 //birchlint:hotpath
 func DecodePointsInto(payload []byte, wantDim int, backing []float64, pts []vec.Vector) ([]float64, []vec.Vector, error) {
@@ -385,8 +393,13 @@ func DecodePointsInto(payload []byte, wantDim int, backing []float64, pts []vec.
 		backing = make([]float64, need)
 	}
 	backing = backing[:need]
+	const expMask = 0x7ff0000000000000
 	for i := 0; i < need; i++ {
-		backing[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8+i*8:]))
+		bits := binary.LittleEndian.Uint64(payload[8+i*8:])
+		if bits&expMask == expMask {
+			return backing, pts[:0], fmt.Errorf("%w: point %d, coordinate %d", ErrNonFinite, i/dim, i%dim)
+		}
+		backing[i] = math.Float64frombits(bits)
 	}
 	if cap(pts) < count {
 		pts = make([]vec.Vector, count)

@@ -158,6 +158,65 @@ func TestSummariesFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// hasNonFiniteWord reports whether some 8-byte little-endian word of
+// words is a NaN or an infinity.
+func hasNonFiniteWord(words []byte) bool {
+	for i := 0; i+8 <= len(words); i += 8 {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(words[i:]))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestDecodePointsRejectsNonFinite is the dense decoder's value table:
+// NaN (quiet, signalling, negative) and ±Inf in any coordinate of any
+// point fail the payload with ErrNonFinite; the extreme finite values
+// decode bit for bit.
+func TestDecodePointsRejectsNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		bits uint64
+		ok   bool
+	}{
+		{math.Float64bits(math.NaN()), false},
+		{0x7ff0000000000001, false}, // signalling NaN
+		{0xfff8000000000000, false}, // negative NaN
+		{math.Float64bits(math.Inf(1)), false},
+		{math.Float64bits(math.Inf(-1)), false},
+		{math.Float64bits(math.MaxFloat64), true},
+		{math.Float64bits(-math.MaxFloat64), true},
+		{math.Float64bits(math.SmallestNonzeroFloat64), true},
+		{math.Float64bits(math.Copysign(0, -1)), true},
+	} {
+		for _, slot := range []int{0, 5, 11} {
+			pts := testPoints(4, 3)
+			pts[slot/3][slot%3] = math.Float64frombits(c.bits)
+			frame, err := AppendPointsFrame(nil, pts, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, payload, err := DecodeFrame(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, got, err := DecodePointsInto(payload, 3, nil, nil)
+			if !c.ok {
+				if !errors.Is(err, ErrNonFinite) {
+					t.Fatalf("bits %x in slot %d: err %v, want ErrNonFinite", c.bits, slot, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("bits %x in slot %d: %v", c.bits, slot, err)
+			}
+			if b := math.Float64bits(got[slot/3][slot%3]); b != c.bits {
+				t.Fatalf("bits %x in slot %d decoded as %x", c.bits, slot, b)
+			}
+		}
+	}
+}
+
 // TestFrameCorruptionRejected flips, truncates and extends frames and
 // requires every mutation to be rejected before payload interpretation.
 func TestFrameCorruptionRejected(t *testing.T) {
@@ -252,6 +311,8 @@ func buildFrame(typ byte, payload []byte) []byte {
 func FuzzFrameDecode(f *testing.F) {
 	points, _ := AppendPointsFrame(nil, testPoints(3, 2), 2)
 	f.Add(MsgPoints, points[frameHeader:])
+	nan, _ := AppendPointsFrame(nil, []vec.Vector{{1, math.NaN()}, {math.Inf(-1), 0}}, 2)
+	f.Add(MsgPoints, nan[frameHeader:])
 	f.Add(MsgClassifyResult, AppendClassifyResultFrame(nil, []int{1}, []float64{2})[frameHeader:])
 	f.Add(MsgAck, AppendAckFrame(nil, 7)[frameHeader:])
 	sums := []core.Summary{{Threshold: 0.5, CFs: []cf.CF{cf.FromPoint(vec.Vector{1, 2}), cf.FromPoint(vec.Vector{3, 4})}}}
@@ -270,6 +331,9 @@ func FuzzFrameDecode(f *testing.F) {
 		switch typ {
 		case MsgPoints:
 			_, pts, err := DecodePointsInto(payload, 2, nil, nil)
+			if errors.Is(err, ErrNonFinite) && !hasNonFiniteWord(payload[8:]) {
+				t.Fatalf("payload rejected as non-finite without a non-finite coordinate: %v", err)
+			}
 			if err == nil {
 				re, err := AppendPointsFrame(nil, pts, 2)
 				if err != nil {

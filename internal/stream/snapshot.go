@@ -138,21 +138,20 @@ func (s *Snapshot) ClassifySparseBatch(points []vec.Sparse, workers int) (idx []
 // ClassifyBatch classifies every point against this snapshot's
 // centroids, returning the cluster index and Euclidean distance per
 // point. The centroid index is built at publication time, so the batch
-// is pure scanning, fanned across at most workers goroutines (≤ 1 runs
+// is pure searching, fanned across at most workers goroutines (≤ 1 runs
 // inline); outputs are per-point, so the result is identical to calling
 // Classify in a loop for every worker count. A nil receiver or a
 // snapshot without centroids reports ok = false. For snapshots built
-// without a packed index a temporary fused-scan index is constructed for
-// the batch: it matches Classify's kmeans.NearestBrute bit for bit,
-// lowest-index ties included, where an automatic index would switch to
-// the k-d tree at kmeans.FusedKDThreshold and break ties by visit order.
+// without a packed index a temporary finder is built for the batch; it
+// returns kmeans.NearestBrute's answer, lowest-index ties included, as
+// Classify does.
 func (s *Snapshot) ClassifyBatch(points []vec.Vector, workers int) (idx []int, dist []float64, ok bool) {
 	if s == nil || len(s.Centroids) == 0 {
 		return nil, nil, false
 	}
 	f := s.finder
 	if f == nil {
-		f = kmeans.NewFinderMode(s.Centroids, kmeans.FinderFused)
+		f = kmeans.NewFinder(s.Centroids)
 	}
 	idx = make([]int, len(points))
 	dist = make([]float64, len(points))

@@ -318,9 +318,9 @@ func TestSnapshotClassifyNonFiniteQueries(t *testing.T) {
 
 // TestSnapshotClassifyTiesAgreeWithBatch: on a snapshot built without a
 // packed finder, Classify and ClassifyBatch pick the same centroid for
-// queries exactly between two centroids, also at K = 64 — past
-// kmeans.FusedKDThreshold, where an automatic index is a k-d tree that
-// breaks ties by visit order rather than by lowest index.
+// queries exactly between two centroids, also at K = 64, where the
+// finder's certified search answers most queries: its certificate must
+// break exact ties by lowest index, as the brute loop does.
 func TestSnapshotClassifyTiesAgreeWithBatch(t *testing.T) {
 	var centroids, queries []vec.Vector
 	for i := 0; i < 8; i++ {

@@ -137,6 +137,27 @@ func SqDist(v, w Vector) float64 {
 	return s
 }
 
+// SqDistWithin is SqDist(v, w) — the same differences, squared and
+// summed in component order, so the same bits — when that is at most
+// limit (ok = true). Once the partial sum exceeds limit it stops with
+// ok = false: the terms are non-negative, so the partial sums never
+// decrease and the full sum would exceed limit too. w must be at least
+// as long as v. Nearest-point searches use it to drop a candidate as
+// soon as it cannot win.
+//
+//birchlint:hotpath
+func SqDistWithin(v, w Vector, limit float64) (float64, bool) {
+	w = w[:len(v)]
+	var s float64
+	for i, x := range v {
+		d := x - w[i]
+		if s += d * d; s > limit {
+			return s, false
+		}
+	}
+	return s, true
+}
+
 // Dist returns the Euclidean distance between v and w (the paper's D0).
 func Dist(v, w Vector) float64 { return math.Sqrt(SqDist(v, w)) }
 
