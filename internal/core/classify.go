@@ -8,10 +8,10 @@ import (
 )
 
 // finder lazily builds (once) and returns the nearest-centroid index over
-// the result's centroids: the fused flat scan below the measured
-// crossover, the exact k-d tree above it. Centroids of a finished Result
-// never move, so the packed index is built at most once per Result and
-// amortized across every Classify/ClassifyBatch call.
+// the result's centroids (kmeans.Finder: a certified search that returns
+// the brute loop's answer). Centroids of a finished Result never move,
+// so the index is built at most once per Result and amortized across
+// every Classify/ClassifyBatch call.
 func (r *Result) finder() *kmeans.Finder {
 	r.classifyOnce.Do(func() {
 		r.classifyFinder = kmeans.NewFinder(r.Centroids)
