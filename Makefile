@@ -62,8 +62,11 @@ test-tail:
 test-crash:
 	BIRCH_CRASH_TRIALS=$(CRASH_TRIALS) $(GO) test -race -run 'TestCrash|TestAutoCheckpoint' -count=1 ./internal/stream
 
+# The request-buffer ownership tests (DESIGN.md §15) run ten times
+# under the race detector: a pooled buffer reused too early is a race.
 race: test-stream test-tail
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'TestGiveUpLeavesBatchToCollector|TestEarlyReplyKeepsFrameOutOfPool' ./internal/server
 
 # Short fuzz burst over every fuzz target; catches codec and tree
 # regressions without the cost of a long campaign.

@@ -17,7 +17,7 @@
 // scale-up, durable serving) come from perfbench, not from here.
 //
 // Every workload is seeded, and each report records the Go version,
-// GOMAXPROCS, CPU count and git commit. After writing a report the
+// GOMAXPROCS, CPU count, CPU model and git commit. After writing a report the
 // harness re-reads it and checks that every expected workload key is
 // present with sane measurements; a failure exits non-zero. -quick
 // shrinks every workload about 10x but keeps the same keys, which is
@@ -25,6 +25,7 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -45,6 +46,7 @@ type Meta struct {
 	GoVersion  string `json:"go_version"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
+	CPUModel   string `json:"cpu_model"`
 	Commit     string `json:"commit"`
 	Quick      bool   `json:"quick"`
 	Generated  string `json:"generated_by"`
@@ -163,6 +165,7 @@ func main() {
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
+		CPUModel:   cpuModel(),
 		Commit:     gitCommit(),
 		Quick:      *quick,
 		Generated:  "cmd/birchbench",
@@ -238,6 +241,23 @@ func blobs(seed int64, dim, k, n int) []vec.Vector {
 	return pts
 }
 
+// cpuModel reads the processor name the kernel reports, as perfbench's
+// envelope does, or "unknown".
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return "unknown"
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return "unknown"
+}
+
 // gitCommit best-effort resolves the current commit for the meta block.
 func gitCommit() string {
 	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
@@ -270,6 +290,9 @@ func verifyReport(path string, s suite, quick bool) error {
 	}
 	if rep.Meta.GoVersion == "" {
 		return fmt.Errorf("%s: missing meta.go_version", s.file)
+	}
+	if rep.Meta.CPUModel == "" {
+		return fmt.Errorf("%s: missing meta.cpu_model", s.file)
 	}
 	if err := s.verify(&rep, quick); err != nil {
 		return fmt.Errorf("%s: %w", s.file, err)

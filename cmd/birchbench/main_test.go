@@ -60,3 +60,23 @@ func TestDocsNameOnlySuiteReports(t *testing.T) {
 		}
 	}
 }
+
+// TestVerifyReportRequiresCPUModel: a report whose meta lacks the CPU
+// model fails verification; the same report with it passes.
+func TestVerifyReportRequiresCPUModel(t *testing.T) {
+	s := suite{name: "probe", file: "BENCH_probe.json", verify: func(*Report, bool) error { return nil }}
+	path := filepath.Join(t.TempDir(), s.file)
+	for _, model := range []string{"", "probe CPU"} {
+		rep := Report{Meta: Meta{GoVersion: "go1", CPUModel: model}}
+		if err := writeReport(path, rep); err != nil {
+			t.Fatal(err)
+		}
+		err := verifyReport(path, s, true)
+		if (err == nil) != (model != "") {
+			t.Fatalf("cpu_model %q: verifyReport returned %v", model, err)
+		}
+	}
+	if cpuModel() == "" {
+		t.Fatal("cpuModel returned an empty string")
+	}
+}

@@ -10,10 +10,12 @@ package server
 //
 // plus their emit primitives appendU32/appendU64/beginFrame/finishFrame,
 // which the hotpath pass covers through the call graph. Against warm
-// reused buffers — the steady state of a serving batch loop — every one
-// of them must run allocation-free. Handed a nil buffer, as the Client
-// does, an encoder must allocate exactly once: it sizes the frame before
-// writing it.
+// reused buffers — the steady state of a serving batch loop, where the
+// server's request scratch and the Client's pools hand them their
+// buffers — every one of them must run allocation-free. Handed a nil or
+// short buffer, as a fresh pooled buffer is, an encoder must allocate
+// exactly once: it sizes the frame before writing it. The whole request
+// path's budget, net/http included, is TestServeRequestAllocBudget's.
 
 import (
 	"bytes"

@@ -23,11 +23,13 @@ type Backend interface {
 	CoreKind() cf.CoreKind
 	// InsertBatch folds a batch of points into the engine. The batch is
 	// all-or-nothing, and a nil return means the mass is owned by the
-	// engine (in a shard tree or its mailbox, which Close drains).
+	// engine (in a shard tree or its mailbox, which Close drains). pts
+	// alias the server's pooled request buffers, which are reused once
+	// the call returns, so a backend that keeps points copies them.
 	InsertBatch(ctx context.Context, pts []vec.Vector) error
 	// InsertSparseBatch is the sparse-point twin of InsertBatch, carrying
 	// CSR-form points down the engine's sparse fast path. Same
-	// all-or-nothing ownership contract.
+	// all-or-nothing ownership and no-retention contract.
 	InsertSparseBatch(ctx context.Context, sps []vec.Sparse) error
 	// Snapshot is the current immutable serving view (nil before the
 	// first publication).

@@ -14,10 +14,12 @@ import (
 var ErrNoSnapshot = errors.New("server: no snapshot published yet")
 
 // insertReq is one admitted insert request parked in the insert queue.
-// Exactly one of pts/sps is non-empty (a request body is one wire tier).
-// The collector folds the points into the backend and posts exactly one
-// value on reply. reply is buffered (capacity 1) by the handler, so the
-// collector's send can never block on a handler that gave up.
+// Exactly one of pts/sps is non-empty (a request body is one wire tier);
+// binary-tier points alias the handler's request scratch, which stays
+// out of the pool until the collector has replied. The collector folds
+// the points into the backend and posts exactly one value on reply.
+// reply is buffered (capacity 1) by the handler, so the collector's send
+// can never block on a handler that gave up.
 type insertReq struct {
 	pts   []vec.Vector
 	sps   []vec.Sparse
@@ -25,8 +27,8 @@ type insertReq struct {
 }
 
 // classifyReq is one admitted classify request. The collector fills
-// idx/dist (allocated by the handler, one slot per point) and posts the
-// batch error — nil, or ErrNoSnapshot — on reply.
+// idx/dist (one slot per point, in the handler's request scratch) and
+// posts the batch error — nil, or ErrNoSnapshot — on reply.
 type classifyReq struct {
 	pts   []vec.Vector
 	idx   []int
@@ -156,10 +158,11 @@ func (s *Server) drainInsertQueue(pending *[]*insertReq, flush func()) {
 }
 
 // runClassifyCollector is the read-side twin: it coalesces admitted
-// classify requests into one ClassifyBatch against a single snapshot
-// load, then scatters the per-point results back. Per-point outputs are
-// position-independent, so coalescing never changes any client's answer
-// — it only amortizes the snapshot load and scan setup.
+// classify requests into one ClassifyBatchInto against a single snapshot
+// load, into answer slices it reuses across flushes, then scatters the
+// per-point results back. Per-point outputs are position-independent, so
+// coalescing never changes any client's answer — it only amortizes the
+// snapshot load and scan setup.
 func (s *Server) runClassifyCollector() {
 	defer s.collectWG.Done()
 	// The timer is only selected on while requests are pending, and
@@ -169,6 +172,8 @@ func (s *Server) runClassifyCollector() {
 	var pending []*classifyReq
 	var points int
 	var scratch []vec.Vector
+	var idx []int
+	var dist []float64
 
 	flush := func() {
 		if len(pending) == 0 {
@@ -179,7 +184,8 @@ func (s *Server) runClassifyCollector() {
 			scratch = append(scratch, r.pts...)
 		}
 		snap := s.b.Snapshot()
-		idx, dist, ok := snap.ClassifyBatch(scratch, s.opts.ClassifyWorkers)
+		var ok bool
+		idx, dist, ok = snap.ClassifyBatchInto(scratch, idx, dist, s.opts.ClassifyWorkers)
 		s.classifyFlushes.Add(1)
 		s.classifyBatchedPts.Add(int64(len(scratch)))
 		off := 0

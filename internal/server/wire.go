@@ -46,9 +46,10 @@ package server
 // still speaking it gets ErrFrameType instead of misread CFs.
 //
 // The encode/decode pairs on the batch hot paths are zero-allocation
-// against reused buffers (append-with-assign-back only); the AllocsPerRun
-// gates live in alloc_test.go and the annotations are checked by the
-// birchlint hotpath pass.
+// against reused buffers (append-with-assign-back only), which the
+// server's pooled request scratch and the Client's buffer pools supply;
+// the AllocsPerRun gates live in alloc_test.go and the annotations are
+// checked by the birchlint hotpath pass.
 
 import (
 	"encoding/binary"
@@ -80,6 +81,11 @@ const frameHeader = 9
 // maxFramePayload bounds a single frame; larger declared lengths are
 // treated as corruption (mirrors pager.walMaxPayload).
 const maxFramePayload = 1 << 26
+
+// maxFrameBytes bounds a whole frame, header included: the largest
+// request body the server reads and the largest response body Client
+// reads.
+const maxFrameBytes = frameHeader + maxFramePayload
 
 // ContentTypeFrame is the HTTP content type of a request or response
 // body holding exactly one wire frame.

@@ -137,24 +137,45 @@ func (s *Snapshot) ClassifySparseBatch(points []vec.Sparse, workers int) (idx []
 
 // ClassifyBatch classifies every point against this snapshot's
 // centroids, returning the cluster index and Euclidean distance per
-// point. The centroid index is built at publication time, so the batch
-// is pure searching, fanned across at most workers goroutines (≤ 1 runs
-// inline); outputs are per-point, so the result is identical to calling
-// Classify in a loop for every worker count. A nil receiver or a
-// snapshot without centroids reports ok = false. For snapshots built
-// without a packed index a temporary finder is built for the batch; it
-// returns kmeans.NearestBrute's answer, lowest-index ties included, as
-// Classify does.
+// point in fresh slices. It is ClassifyBatchInto with new result
+// slices; a nil receiver or a snapshot without centroids reports
+// ok = false and nil slices.
 func (s *Snapshot) ClassifyBatch(points []vec.Vector, workers int) (idx []int, dist []float64, ok bool) {
-	if s == nil || len(s.Centroids) == 0 {
+	idx, dist, ok = s.ClassifyBatchInto(points, make([]int, len(points)), make([]float64, len(points)), workers)
+	if !ok {
 		return nil, nil, false
+	}
+	return idx, dist, true
+}
+
+// ClassifyBatchInto classifies every point against this snapshot's
+// centroids into the caller's idx and dist, grown only when their
+// capacity is short, and returns them resliced to len(points): point i's
+// cluster index lands in idx[i] and its Euclidean distance in dist[i].
+// The centroid index is built at publication time, so the batch is pure
+// searching, fanned across at most workers goroutines (≤ 1 runs inline);
+// outputs are per-point, so the result is identical to calling Classify
+// in a loop for every worker count. A nil receiver or a snapshot without
+// centroids reports ok = false with idx and dist emptied. For snapshots
+// built without a packed index a temporary finder is built for the
+// batch; it returns kmeans.NearestBrute's answer, lowest-index ties
+// included, as Classify does.
+func (s *Snapshot) ClassifyBatchInto(points []vec.Vector, idx []int, dist []float64, workers int) ([]int, []float64, bool) {
+	if s == nil || len(s.Centroids) == 0 {
+		return idx[:0], dist[:0], false
 	}
 	f := s.finder
 	if f == nil {
 		f = kmeans.NewFinder(s.Centroids)
 	}
-	idx = make([]int, len(points))
-	dist = make([]float64, len(points))
+	n := len(points)
+	if cap(idx) < n {
+		idx = make([]int, n)
+	}
+	if cap(dist) < n {
+		dist = make([]float64, n)
+	}
+	idx, dist = idx[:n], dist[:n]
 	f.NearestBatch(points, idx, dist, workers)
 	for i := range dist {
 		dist[i] = math.Sqrt(dist[i])
