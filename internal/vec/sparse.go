@@ -3,6 +3,7 @@ package vec
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Sparse is a d-dimensional vector stored as sorted (index, value) pairs —
@@ -121,16 +122,25 @@ func (s Sparse) Dense() Vector {
 // array, so the whole batch costs two allocations. Every point must have
 // the first point's dimension (DenseInto panics otherwise).
 func DenseBatch(points []Sparse) []Vector {
-	dense := make([]Vector, len(points))
-	if len(points) == 0 {
-		return dense
+	d := 0
+	if len(points) > 0 {
+		d = points[0].D
 	}
-	d := points[0].D
-	backing := make([]float64, len(points)*d)
+	_, rows := DenseBatchInto(nil, nil, points, d)
+	return rows
+}
+
+// DenseBatchInto is DenseBatch into reused storage: it densifies points,
+// each of dimension d, into rows of backing, growing backing and rows
+// only when they are too short, and returns both for the next call.
+func DenseBatchInto(backing []float64, rows []Vector, points []Sparse, d int) ([]float64, []Vector) {
+	n := len(points)
+	backing = slices.Grow(backing[:0], n*d)[:n*d]
+	rows = slices.Grow(rows[:0], n)[:n]
 	for i, sp := range points {
-		dense[i] = sp.DenseInto(backing[i*d : (i+1)*d : (i+1)*d])
+		rows[i] = sp.DenseInto(backing[i*d : (i+1)*d : (i+1)*d])
 	}
-	return dense
+	return backing, rows
 }
 
 // ScatterInto writes the stored entries into dst without clearing the
